@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron2, require_finite
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, require_finite
 from .states import validate_density
 
 COMPLETENESS_TOL = 1e-12
@@ -129,22 +129,24 @@ def check_completeness(operators: np.ndarray) -> float:
     return float(np.max(np.abs(total - I2)))
 
 
-def product_kraus(operators: np.ndarray) -> np.ndarray:
-    """All two-qubit operators E_i (x) E_j, shape (..., n^2, 4, 4)."""
-    ops = np.asarray(operators, dtype=complex)
-    n = ops.shape[-3]
-    pairs = kron2(ops[..., :, None, :, :], ops[..., None, :, :, :])
-    return pairs.reshape(*pairs.shape[:-4], n * n, 4, 4)
-
-
 def apply_product(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """Evolve rho under the two-qubit product channel sum_ij (Ei x Ej) rho (Ei x Ej)^dag.
 
+    Applied qubit by qubit through the single-qubit superoperator
+    S = sum_k Ek x conj(Ek): with rho regrouped as R[(a,a'),(b,b')] the map is
+    R -> S R S^T, so the work grows with n rather than with the n^2 pairs.
     Broadcasts: rho (..., 4, 4) against operators (..., n, 2, 2).
     """
     rho = np.asarray(rho, dtype=complex)
-    pairs = product_kraus(operators)
-    return np.einsum("...kij,...jl,...kml->...im", pairs, rho, pairs.conj())
+    ops = np.asarray(operators, dtype=complex)
+    sup = np.einsum("...kij,...klm->...iljm", ops, ops.conj())  # sum_k Ek x conj(Ek)
+    sup = sup.reshape(*sup.shape[:-4], 4, 4)
+    return _regroup(sup @ _regroup(rho) @ np.swapaxes(sup, -1, -2))
+
+
+def _regroup(m: np.ndarray) -> np.ndarray:
+    """Swap the middle indices of m[(a,b),(a',b')] -> m[(a,a'),(b,b')]; its own inverse."""
+    return np.swapaxes(m.reshape(*m.shape[:-2], 2, 2, 2, 2), -3, -2).reshape(*m.shape)
 
 
 def apply_product_channel(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Command-line front end: state comparison, sweeps, zone reports, spectrum checks.
 
+``sweep`` and ``zones`` score the Kraus-evolved MEMS with the X-state closed
+form; ``verify-spectra`` scores the same evolved states with the Wootters
+construction, the ground truth the tabulated spectra are checked against.
+
 Exit codes: 0 success, 1 argument/domain error, 2 spectrum discrepancies found,
 3 numerical-integrity failure.
 """
@@ -243,7 +247,9 @@ def _add_common(p: _Parser, *, channel_required: bool = True) -> None:
                    help="one of: " + ", ".join(k.value for k in ChannelKind))
     p.add_argument("--min", type=float, default=0.0, help="strength domain start")
     p.add_argument("--max", type=float, default=1.0, help="strength domain end")
-    p.add_argument("--engine", choices=sorted(_ENGINE_NAMES), default="numeric")
+    p.add_argument("--engine", choices=sorted(_ENGINE_NAMES), default="numeric",
+                   help="numeric: Kraus evolution scored by the X-state closed form; "
+                        "closedform: the tabulated spectra (sweep adds them as a column)")
     p.add_argument("--out", help="write output here instead of stdout")
     p.add_argument("--no-manifest", action="store_true",
                    help="omit the '#' header (for byte-identical reruns)")
@@ -261,14 +267,16 @@ def build_parser() -> _Parser:
     p.add_argument("--no-manifest", action="store_true")
     p.set_defaults(func=_cmd_compare_states)
 
-    p = sub.add_parser("sweep", help="concurrence along the channel-strength axis")
+    p = sub.add_parser("sweep", help="concurrence along the channel-strength axis "
+                                     "(X-state closed form on the Kraus-evolved state)")
     _add_common(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=int, default=201)
     p.add_argument("--plot-script", help="also emit a gnuplot script")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("zones", help="detect ESD/ESDB intervals with refined endpoints")
+    p = sub.add_parser("zones", help="detect ESD/ESDB intervals with refined endpoints "
+                                     "(X-state closed form on the Kraus-evolved state)")
     _add_common(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=int, default=DEFAULT_GRID_POINTS)
@@ -277,7 +285,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_zones)
 
     p = sub.add_parser("verify-spectra",
-                       help="closed-form spectra vs the numerical pipeline on a grid")
+                       help="closed-form spectra vs the Wootters spectra of the "
+                            "Kraus-evolved states on a grid")
     _add_common(p, channel_required=False)
     p.add_argument("--gamma-steps", type=int, default=100)
     p.add_argument("--steps", type=int, default=100)

@@ -14,6 +14,8 @@ NEG_TOL = 1e-8
 X_TOL = 1e-12
 
 SPIN_FLIP_YY = kron2(PAULI_Y, PAULI_Y).real.astype(complex)
+# Entries off the diagonal and the anti-diagonal: zero in an X-state.
+OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 class IntegrityError(RuntimeError):
@@ -102,25 +104,31 @@ def xstate_concurrence(rho: np.ndarray):
 
     2 max{0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)}.
     Raises :class:`XStructureError` when any entry off the diagonal and
-    anti-diagonal exceeds ``X_TOL``.
+    anti-diagonal exceeds ``X_TOL``, and :class:`IntegrityError` when the
+    smallest eigenvalue, taken in closed form from the two 2x2 blocks, is
+    below ``-NEG_TOL`` (the guard the Wootters route applies).
     """
     rho = require_finite(np.asarray(rho, dtype=complex), "state")
-    mask = np.ones((4, 4), dtype=bool)
-    for i in range(4):
-        mask[i, i] = False
-        mask[i, 3 - i] = False
-    off = np.abs(rho[..., mask])
+    off = np.abs(rho[..., OFF_X])
     worst = float(np.max(off))
     if worst > X_TOL:
-        flat = int(np.argmax(np.max(np.abs(rho[..., mask]), axis=tuple(range(rho.ndim - 2)))))
-        idx = tuple(np.argwhere(mask)[flat])
+        flat = int(np.argmax(np.max(off, axis=tuple(range(rho.ndim - 2)))))
+        idx = tuple(np.argwhere(OFF_X)[flat])
         raise XStructureError(worst, (int(idx[0]) + 1, int(idx[1]) + 1))
 
     d = np.real(np.einsum("...ii->...i", rho))
-    inner = np.sqrt(np.clip(d[..., 1] * d[..., 2], 0.0, None))
-    outer = np.sqrt(np.clip(d[..., 0] * d[..., 3], 0.0, None))
-    c = 2.0 * np.maximum(
-        0.0,
-        np.maximum(np.abs(rho[..., 0, 3]) - inner, np.abs(rho[..., 1, 2]) - outer),
+    z = np.abs(rho[..., 0, 3])
+    w = np.abs(rho[..., 1, 2])
+    # block eigenvalues: mean -/+ hypot(half the population gap, coherence)
+    lowest = np.minimum(
+        0.5 * (d[..., 0] + d[..., 3]) - np.hypot(0.5 * (d[..., 0] - d[..., 3]), z),
+        0.5 * (d[..., 1] + d[..., 2]) - np.hypot(0.5 * (d[..., 1] - d[..., 2]), w),
     )
+    if np.min(lowest) < -NEG_TOL:
+        raise IntegrityError(
+            f"state has eigenvalue {np.min(lowest):.3e}, below -{NEG_TOL}"
+        )
+    inner = np.sqrt(np.maximum(d[..., 1] * d[..., 2], 0.0))
+    outer = np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))
+    c = 2.0 * np.maximum(0.0, np.maximum(z - inner, w - outer))
     return c if c.shape else float(c)

@@ -10,7 +10,9 @@ EIG_TOL = 1e-11
 HERM_TOL = 1e-12
 
 DK_MAX_ITER = 500
+# Durand-Kerner stopping thresholds, relative to the Cauchy root bound.
 DK_MOVE_TOL = 1e-14
+DK_STALL_TOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -93,11 +95,17 @@ def durand_kerner(
     deflated first (each contributes an exact zero root); a double root at the
     origin is otherwise only recoverable to ~sqrt(ulp).
 
+    The iteration stops once every root moves less than ``move_tol`` times
+    the Cauchy root bound ``1 + max|c_i|``, or once the largest step, already
+    below ``DK_STALL_TOL`` times that bound, stops shrinking: Horner rounding
+    then sets the step size, and further iterations only bounce. Steps at a
+    root of multiplicity m stay near ulp^(1/m), above that bound for m >= 2.
+
     Raises
     ------
     SolverError
-        If the iteration cap is hit before every root moves less than
-        ``move_tol`` per step; carries the worst polynomial residual.
+        If the iteration cap is hit before either stopping rule holds;
+        carries the worst polynomial residual.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     require_finite(c, "coefficients")
@@ -118,6 +126,7 @@ def durand_kerner(
     angles = 2j * np.pi * np.arange(degree) / degree + 0.4j
     roots = radius * np.exp(angles)
 
+    previous = np.inf
     for _ in range(max_iter):
         values = np.polyval(c, roots)
         diffs = roots[:, None] - roots[None, :]
@@ -125,8 +134,10 @@ def durand_kerner(
         denom = np.prod(diffs, axis=1)
         step = values / denom
         roots = roots - step
-        if np.max(np.abs(step)) < move_tol:
+        moved = float(np.max(np.abs(step)))
+        if moved < move_tol * radius or previous <= moved < DK_STALL_TOL * radius:
             return np.concatenate([roots, exact])
+        previous = moved
     residual = float(np.max(np.abs(np.polyval(c, roots))))
     raise SolverError(
         f"Durand-Kerner stalled after {max_iter} iterations", residual=residual

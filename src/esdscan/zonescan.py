@@ -1,4 +1,10 @@
-"""Concurrence sweeps over channel strength and ESD/ESDB zone detection."""
+"""Concurrence sweeps over channel strength and ESD/ESDB zone detection.
+
+The ``numeric`` engine evolves the MEMS through the product Kraus channel and
+scores it with the X-state closed form (every evolved MEMS is an X-state);
+the ``closed_form`` engine uses the tabulated reference spectra. The general
+Wootters route stays the ground truth of ``verify-spectra``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind, apply_product, kraus_operators
-from .concurrence import concurrence
+from .concurrence import xstate_concurrence
 from .spectra import closed_form_spectrum, concurrence_from_spectrum
 from .states import mems
 
@@ -88,7 +94,7 @@ def _concurrence_at(cfg: SweepConfig, strengths) -> np.ndarray:
     s = np.asarray(strengths, dtype=float)
     if cfg.engine == "numeric":
         rho = apply_product(mems(cfg.gamma), kraus_operators(cfg.kind, s))
-        c = concurrence(rho)
+        c = xstate_concurrence(rho)
     else:
         c = concurrence_from_spectrum(closed_form_spectrum(cfg.kind, cfg.gamma, s))
     return np.asarray(c, dtype=float)
@@ -101,10 +107,16 @@ def sample_curve(cfg: SweepConfig) -> ConcurrenceCurve:
 
 
 def _bisect_edge(cfg: SweepConfig, alive: float, dead: float) -> float:
-    """Locate the alive/dead boundary between two bracketing strengths."""
+    """Locate the alive/dead boundary between two bracketing strengths.
+
+    Stops at ``refine_tol`` or when no float is left between the brackets,
+    whichever comes first.
+    """
     lo, hi = alive, dead
     while abs(hi - lo) > cfg.refine_tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if float(_concurrence_at(cfg, mid)) <= cfg.zero_tol:
             hi = mid
         else:

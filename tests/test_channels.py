@@ -14,7 +14,7 @@ from esdscan.channels import (
     kraus_set,
 )
 from esdscan.linalg import HERM_TOL, I2, PAULI_X, dag, kron2
-from esdscan.states import mems, validate_density
+from esdscan.states import mems, validate_density, werner
 
 from _oracles import evolve_ref, kraus_ref, mems_ref
 
@@ -63,13 +63,55 @@ def test_phase_damping_scales_corners_only():
     assert out[0, 3] == pytest.approx(g / 2 * np.exp(-2 * lt), abs=1e-14)
 
 
+def random_density(rng, shape=()):
+    """Full-rank density matrices with every entry populated (not X-states)."""
+    a = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+    rho = a @ dag(a) + 0.1 * np.eye(4)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def reference_inputs():
+    """MEMS, a Werner state and random full-rank non-X states."""
+    rng = np.random.default_rng(11)
+    states = [mems_ref(g) for g in (0.2, 0.7, 1.0)] + [werner(0.6)]
+    return states + list(random_density(rng, (3,)))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_agrees_with_reference_evolution(kind):
-    for g in (0.2, 0.7, 1.0):
+    for rho in reference_inputs():
         for s in (0.15, 0.6, 0.97):
-            ours = apply_product(mems(g), kraus_operators(kind, s))
-            ref = evolve_ref(mems_ref(g), kraus_ref(kind.value, s))
+            ours = apply_product(rho, kraus_operators(kind, s))
+            ref = evolve_ref(rho, kraus_ref(kind.value, s))
             assert np.max(np.abs(ours - ref)) < 1e-14
+
+
+def test_agrees_with_reference_on_complex_kraus_sets():
+    # every built-in Kraus set is real up to phases, which hides a swapped
+    # ket/bra slot; a random complex channel does not
+    rng = np.random.default_rng(3)
+    for n in (1, 3):
+        a = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
+        ops = np.linalg.qr(a)[0].reshape(n, 2, 2)
+        assert check_completeness(ops) <= COMPLETENESS_TOL
+        for rho in random_density(rng, (3,)):
+            ours = apply_product(rho, ops)
+            assert np.max(np.abs(ours - evolve_ref(rho, list(ops)))) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_broadcasts_states_against_operators(kind):
+    rng = np.random.default_rng(5)
+    strengths = rng.uniform(0.0, 1.0, 7)
+    stacked = random_density(rng, (5,))
+    single = random_density(rng)
+    paired = apply_product(stacked, kraus_operators(kind, strengths[:5]))
+    fanned = apply_product(single, kraus_operators(kind, strengths))
+    assert paired.shape == (5, 4, 4) and fanned.shape == (7, 4, 4)
+    for rho, s, out in zip(stacked, strengths[:5], paired):
+        assert np.max(np.abs(out - evolve_ref(rho, kraus_ref(kind.value, s)))) < 1e-14
+    for s, out in zip(strengths, fanned):
+        assert np.max(np.abs(out - evolve_ref(single, kraus_ref(kind.value, s)))) < 1e-14
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -177,3 +178,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("gamma,")
+
+
+def test_zones_refine_tol_below_float_spacing_terminates():
+    # bisection cannot narrow a bracket below one ulp; it must stop there
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "esdscan.cli", "zones", "--channel", "bitflip",
+         "--gamma", "0.2", "--refine-tol", "1e-300", "--no-manifest"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (zone,) = json.loads(proc.stdout)["zones"]
+    assert zone["death"] == pytest.approx(0.039293457, abs=1e-6)
+    assert zone["rebirth"] == pytest.approx(0.960706543, abs=1e-6)

@@ -99,10 +99,12 @@ class TestConcurrence:
             ]
             assert concurrence(np.kron(qubits[0], qubits[1])) <= 1e-9
 
-    def test_pathological_input_rejected(self):
+    @pytest.mark.parametrize("route", [concurrence, xstate_concurrence],
+                             ids=lambda route: route.__name__)
+    def test_pathological_input_rejected(self, route):
         rho = np.diag([0.75, 0.75, 0.0, -0.5]).astype(complex)
         with pytest.raises(IntegrityError):
-            concurrence(rho)
+            route(rho)
 
 
 class TestEigRoute:
