@@ -1,7 +1,8 @@
 """Golden CLI outputs: fixed ``--no-manifest`` runs compared with committed files.
 
 Covers ``verify-spectra`` on a 12x12 grid, ``zones`` for the 33 paper
-(channel, gamma) cases and the matching 41-point sweeps. Zone documents and
+(channel, gamma) cases, the matching 41-point sweeps and a 21-point
+``compare-states`` table. Zone documents and
 every non-numeric CSV field must match byte for byte. A numeric CSV field may
 move by one unit in its 9th significant digit or by 1e-14 absolute, because
 reordering a floating-point sum moves digits that are only rounding noise.
@@ -31,6 +32,7 @@ CASES = [(ch, g) for ch in ("bitflip", "phaseflip", "bitphaseflip") for g in FLI
     (ch, g) for ch in ("amplitudedamping", "phasedamping", "depolarizing") for g in DAMPING_GAMMAS
 ]
 VERIFY_ARGV = ["verify-spectra", "--gamma-steps", "12", "--steps", "12", "--no-manifest"]
+COMPARE_STATES_ARGV = ["compare-states", "--steps", "21", "--no-manifest"]
 ABS_SLACK = 1e-14
 
 
@@ -58,7 +60,8 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def _outputs() -> dict[str, tuple[list[str], int]]:
     """Golden file name -> (argv, expected exit code)."""
-    files = {"verify_spectra.csv": (VERIFY_ARGV, 2)}
+    files = {"verify_spectra.csv": (VERIFY_ARGV, 2),
+             "compare_states.csv": (COMPARE_STATES_ARGV, 0)}
     for channel, gamma in CASES:
         files[f"zones/{_tag(channel, gamma)}.json"] = (_zones_argv(channel, gamma), 0)
         files[f"sweep/{_tag(channel, gamma)}.csv"] = (_sweep_argv(channel, gamma), 0)
