@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .channels import (
     ChannelKind,
-    KrausChannel,
     apply_product,
     apply_product_channel,
     check_completeness,
@@ -15,12 +14,11 @@ from .concurrence import (
     IntegrityError,
     XStructureError,
     concurrence,
-    concurrence_eig_route,
     spin_flip,
     wootters_spectrum,
     xstate_concurrence,
 )
-from .linalg import SolverError, charpoly4, dag, durand_kerner, eig4, kron2
+from .linalg import dag, kron2
 from .spectra import (
     DiscrepancyRecord,
     FormulaDomainError,
@@ -50,7 +48,6 @@ from .zonescan import (
 __all__ = [
     "__version__",
     "ChannelKind",
-    "KrausChannel",
     "apply_product",
     "apply_product_channel",
     "check_completeness",
@@ -59,15 +56,10 @@ __all__ = [
     "IntegrityError",
     "XStructureError",
     "concurrence",
-    "concurrence_eig_route",
     "spin_flip",
     "wootters_spectrum",
     "xstate_concurrence",
-    "SolverError",
-    "charpoly4",
     "dag",
-    "durand_kerner",
-    "eig4",
     "kron2",
     "DiscrepancyRecord",
     "FormulaDomainError",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +35,10 @@ DAMPING_KINDS = tuple(k for k in ChannelKind if not k.is_flip)
 
 
 def check_strength(kind: ChannelKind, strength) -> np.ndarray:
+    """``strength`` as a float array, if finite and inside ``kind``'s domain."""
     s = np.asarray(strength, dtype=float)
     if not np.all(np.isfinite(s)):
-        raise ValueError(f"{kind.value}: strength must be finite")
+        raise ValueError(f"{kind.value}: strength must be finite, got {strength}")
     if kind.is_flip:
         if np.any(s < 0) or np.any(s > 1):
             raise ValueError(f"{kind.value}: p must lie in [0, 1], got {strength}")
@@ -100,26 +100,9 @@ def kraus_operators(kind: ChannelKind, strength) -> np.ndarray:
     raise ValueError(f"unhandled channel kind {kind}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """A single-qubit channel: kind, strength, and its Kraus operators."""
-
-    kind: ChannelKind
-    strength: float
-    operators: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dev = check_completeness(self.operators)
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(
-                f"{self.kind.value}: Kraus completeness off by {dev:.3e}"
-            )
-
-
-def kraus_set(kind: ChannelKind, strength: float) -> KrausChannel:
-    """Build the channel for a scalar strength, with completeness enforced."""
-    ops = kraus_operators(kind, float(strength))
-    return KrausChannel(kind=kind, strength=float(strength), operators=ops)
+def kraus_set(kind: ChannelKind, strength: float) -> np.ndarray:
+    """Kraus operators for a scalar strength, shape (n_ops, 2, 2)."""
+    return kraus_operators(kind, float(strength))
 
 
 def check_completeness(operators: np.ndarray) -> float:
@@ -149,8 +132,13 @@ def _regroup(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.reshape(*m.shape[:-2], 2, 2, 2, 2), -3, -2).reshape(*m.shape)
 
 
-def apply_product_channel(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """Validated single-state evolution under ``channel`` on both qubits."""
+def apply_product_channel(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Validated evolution of rho under ``operators`` on both qubits.
+
+    Checks rho, the Kraus completeness of ``operators`` and the evolved state.
+    """
     rho = validate_density(rho)
-    out = apply_product(rho, channel.operators)
-    return validate_density(out)
+    dev = check_completeness(operators)
+    if dev > COMPLETENESS_TOL:
+        raise ValueError(f"Kraus completeness off by {dev:.3e}")
+    return validate_density(apply_product(rho, operators))

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .channels import ChannelKind
 from .concurrence import IntegrityError
-from .linalg import SolverError
 from .spectra import COMPARE_TOL, FormulaDomainError, scan_grid
 from .states import reference_concurrence, werner_concurrence_raw
 from .zonescan import (
@@ -150,27 +149,26 @@ def _cmd_compare_states(args) -> int:
     return EXIT_OK
 
 
-def _sweep_config(args, grid_points: int, engine: str) -> SweepConfig:
+def _sweep_config(args, engine: str, **detection) -> SweepConfig:
     return SweepConfig(
         kind=_channel(args.channel),
         gamma=args.gamma,
         strength_min=args.min,
         strength_max=args.max,
-        grid_points=grid_points,
-        refine_tol=getattr(args, "refine_tol", DEFAULT_REFINE_TOL),
-        zero_tol=getattr(args, "zero_tol", DEFAULT_ZERO_TOL),
+        grid_points=args.steps,
         engine=engine,
+        **detection,
     )
 
 
 def _cmd_sweep(args) -> int:
     engine = _ENGINE_NAMES[args.engine]
-    cfg = _sweep_config(args, args.steps, "numeric")
+    cfg = _sweep_config(args, "numeric")
     numeric = sample_curve(cfg)
     columns = ["strength", "concurrence_numeric"]
     series = [numeric.strengths, numeric.concurrences]
     if engine == "closed_form":
-        closed = sample_curve(_sweep_config(args, args.steps, "closed_form"))
+        closed = sample_curve(_sweep_config(args, "closed_form"))
         columns.append("concurrence_closed_form")
         series.append(closed.concurrences)
     rows = [",".join(columns)]
@@ -184,7 +182,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_zones(args) -> int:
-    cfg = _sweep_config(args, args.steps, _ENGINE_NAMES[args.engine])
+    cfg = _sweep_config(args, _ENGINE_NAMES[args.engine],
+                        refine_tol=args.refine_tol, zero_tol=args.zero_tol)
     report = find_zones(cfg)
     doc = {
         "channel": cfg.kind.value,
@@ -247,12 +246,15 @@ def _add_common(p: _Parser, *, channel_required: bool = True) -> None:
                    help="one of: " + ", ".join(k.value for k in ChannelKind))
     p.add_argument("--min", type=float, default=0.0, help="strength domain start")
     p.add_argument("--max", type=float, default=1.0, help="strength domain end")
-    p.add_argument("--engine", choices=sorted(_ENGINE_NAMES), default="numeric",
-                   help="numeric: Kraus evolution scored by the X-state closed form; "
-                        "closedform: the tabulated spectra (sweep adds them as a column)")
     p.add_argument("--out", help="write output here instead of stdout")
     p.add_argument("--no-manifest", action="store_true",
                    help="omit the '#' header (for byte-identical reruns)")
+
+
+def _add_engine(p: _Parser) -> None:
+    p.add_argument("--engine", choices=sorted(_ENGINE_NAMES), default="numeric",
+                   help="numeric: Kraus evolution scored by the X-state closed form; "
+                        "closedform: the tabulated spectra (sweep adds them as a column)")
 
 
 def build_parser() -> _Parser:
@@ -270,6 +272,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="concurrence along the channel-strength axis "
                                      "(X-state closed form on the Kraus-evolved state)")
     _add_common(p)
+    _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=int, default=201)
     p.add_argument("--plot-script", help="also emit a gnuplot script")
@@ -278,6 +281,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zones", help="detect ESD/ESDB intervals with refined endpoints "
                                      "(X-state closed form on the Kraus-evolved state)")
     _add_common(p)
+    _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=int, default=DEFAULT_GRID_POINTS)
     p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
@@ -304,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"esdscan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IntegrityError, SolverError, FormulaDomainError) as exc:
+    except (IntegrityError, FormulaDomainError) as exc:
         print(f"esdscan: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     except ValueError as exc:

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULI_Y, dag, eig4, kron2, require_finite
+from .linalg import PAULI_Y, kron2, require_finite
 
-# Integrity guards on the direct eigenvalue route; looser than solver accuracy
-# to absorb accumulation across channel application.
-IM_TOL = 1e-8
+# Positivity guard on the evolved state; looser than solver accuracy to absorb
+# accumulation across channel application.
 NEG_TOL = 1e-8
 # Entries outside the diagonal/anti-diagonal must stay below this for X-states.
 X_TOL = 1e-12
@@ -19,7 +18,7 @@ OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 class IntegrityError(RuntimeError):
-    """The spectrum of rho * spin_flip(rho) was not real nonnegative."""
+    """The evolved state had an eigenvalue below -NEG_TOL."""
 
 
 class XStructureError(ValueError):
@@ -79,24 +78,6 @@ def concurrence(rho: np.ndarray):
     s = wootters_sigmas(rho)
     c = np.clip(s[..., 0] - s[..., 1:].sum(axis=-1), 0.0, 1.0)
     return c if c.shape else float(c)
-
-
-def concurrence_eig_route(rho: np.ndarray) -> float:
-    """Concurrence via the eigenvalues of the non-Hermitian product rho * rho^f.
-
-    Kept as an independent cross-check of :func:`concurrence`; accuracy is
-    limited to ~sqrt(ulp) when the product has degenerate zero eigenvalues.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    lam = eig4(rho @ spin_flip(rho))
-    worst_im = float(np.max(np.abs(lam.imag)))
-    if worst_im > IM_TOL:
-        raise IntegrityError(f"eigenvalue imaginary part {worst_im:.3e} above {IM_TOL}")
-    real = lam.real
-    if float(np.min(real)) < -NEG_TOL:
-        raise IntegrityError(f"eigenvalue {np.min(real):.3e} below -{NEG_TOL}")
-    roots = np.sort(np.sqrt(np.clip(real, 0.0, None)))[::-1]
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
 
 
 def xstate_concurrence(rho: np.ndarray):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelKind, apply_product, kraus_operators
+from .channels import ChannelKind, apply_product, check_strength, kraus_operators
 from .concurrence import wootters_spectrum
-from .states import mems
+from .states import check_gamma, mems
 
 # Square-root arguments driven negative by rounding are clamped at 0 down to
 # this guard; anything below it is a genuine formula-domain violation.
@@ -143,19 +143,17 @@ def closed_form_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        When gamma or the strength lies outside its domain.
     FormulaDomainError
         When a square-root argument falls below -1e-8 (as the bit-phase-flip
         expressions do for p(1-p) < 2/9 at any gamma > 0).
     """
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0) or np.any(g > 1):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    lam, badness = _raw_lambdas(kind, gamma, strength)
+    g, s = check_gamma(gamma), check_strength(kind, strength)
+    lam, badness = _raw_lambdas(kind, g, s)
     if np.any(badness < -SQRT_GUARD):
         flat = int(np.argmin(badness))
-        gg, ss = np.broadcast_arrays(
-            np.asarray(gamma, dtype=float), np.asarray(strength, dtype=float)
-        )
+        gg, ss = np.broadcast_arrays(g, s)
         raise FormulaDomainError(
             kind,
             float(gg.ravel()[flat]),
@@ -185,20 +183,9 @@ def numeric_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
 def compare_spectrum(
     kind: ChannelKind, gamma: float, strength: float, tol: float = COMPARE_TOL
 ) -> DiscrepancyRecord | None:
-    """Compare both spectra as sorted multisets; a record iff they differ beyond tol."""
-    closed = np.sort(closed_form_spectrum(kind, gamma, strength))
-    numeric = np.sort(numeric_spectrum(kind, gamma, strength))
-    dev = float(np.max(np.abs(closed - numeric)))
-    if dev <= tol:
-        return None
-    return DiscrepancyRecord(
-        kind=kind,
-        gamma=float(gamma),
-        strength=float(strength),
-        max_abs_error=dev,
-        closed_form=tuple(float(x) for x in closed),
-        numeric=tuple(float(x) for x in numeric),
-    )
+    """One cell of :func:`scan_grid`: its record, or None if the spectra agree within tol."""
+    records = scan_grid(kind, [gamma], [strength], tol)
+    return records[0] if records else None
 
 
 def scan_grid(
@@ -207,12 +194,15 @@ def scan_grid(
     strengths: np.ndarray,
     tol: float = COMPARE_TOL,
 ) -> list[DiscrepancyRecord]:
-    """Full-grid comparison, ordered by (gamma, strength).
+    """Full-grid comparison as sorted multisets, ordered by (gamma, strength).
 
-    Cells where the closed form cannot be evaluated are reported with
+    A cell is reported when the spectra differ by more than ``tol``. Cells
+    where the closed form cannot be evaluated are reported with
     ``max_abs_error = inf`` so the discrepancy report stays complete instead
     of aborting the scan.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     gam = np.asarray(gammas, dtype=float)[:, None]
     st = np.asarray(strengths, dtype=float)[None, :]
     gg, ss = np.broadcast_arrays(gam, st)
@@ -221,31 +211,16 @@ def scan_grid(
     bad = badness < -SQRT_GUARD
     closed = np.sort(np.clip(lam, 0.0, None), axis=-1)
     numeric = np.sort(numeric_spectrum(kind, gg, ss), axis=-1)
-    dev = np.max(np.abs(closed - numeric), axis=-1)
+    dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))
 
-    records: list[DiscrepancyRecord] = []
-    hits = np.argwhere(bad | (dev > tol))
-    for i, j in hits:
-        if bad[i, j]:
-            records.append(
-                DiscrepancyRecord(
-                    kind=kind,
-                    gamma=float(gg[i, j]),
-                    strength=float(ss[i, j]),
-                    max_abs_error=float("inf"),
-                    closed_form=None,
-                    numeric=tuple(float(x) for x in numeric[i, j]),
-                )
-            )
-        else:
-            records.append(
-                DiscrepancyRecord(
-                    kind=kind,
-                    gamma=float(gg[i, j]),
-                    strength=float(ss[i, j]),
-                    max_abs_error=float(dev[i, j]),
-                    closed_form=tuple(float(x) for x in closed[i, j]),
-                    numeric=tuple(float(x) for x in numeric[i, j]),
-                )
-            )
-    return records
+    return [
+        DiscrepancyRecord(
+            kind=kind,
+            gamma=float(gg[i, j]),
+            strength=float(ss[i, j]),
+            max_abs_error=float(dev[i, j]),
+            closed_form=None if bad[i, j] else tuple(closed[i, j].tolist()),
+            numeric=tuple(numeric[i, j].tolist()),
+        )
+        for i, j in np.argwhere(bad | (dev > tol))
+    ]

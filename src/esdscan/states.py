@@ -21,7 +21,8 @@ class DensityMatrixError(ValueError):
         self.deviation = deviation
 
 
-def _check_gamma(gamma):
+def check_gamma(gamma) -> np.ndarray:
+    """``gamma`` as a float array, if every entry lies in [0, 1]."""
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)) or np.any(g < 0) or np.any(g > 1):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -30,7 +31,7 @@ def _check_gamma(gamma):
 
 def mems_diagonal(gamma):
     """Piecewise diagonal weight: 1/3 below the branch point, gamma/2 above."""
-    g = _check_gamma(gamma)
+    g = check_gamma(gamma)
     return np.where(g < MEMS_BRANCH_POINT, 1.0 / 3.0, g / 2.0)
 
 
@@ -40,7 +41,7 @@ def mems(gamma) -> np.ndarray:
     diag(g, 1-2g, 0, g) with corner coherences gamma/2; concurrence is
     exactly ``gamma``. Broadcasts: an array ``gamma`` yields (..., 4, 4).
     """
-    g = _check_gamma(gamma)
+    g = check_gamma(gamma)
     d = mems_diagonal(g)
     out = np.zeros(g.shape + (4, 4), dtype=complex)
     out[..., 0, 0] = d
@@ -53,7 +54,7 @@ def mems(gamma) -> np.ndarray:
 
 def werner(gamma) -> np.ndarray:
     """Werner state: gamma |psi-><psi-| + (1-gamma) I/4; entangled for gamma > 1/3."""
-    g = _check_gamma(gamma)
+    g = check_gamma(gamma)
     psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
     singlet = np.outer(psi, psi.conj())
     eye = np.eye(4, dtype=complex) / 4.0
@@ -86,7 +87,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
 
 def werner_concurrence_raw(gamma):
     """Unclamped Werner expression (3*gamma - 1)/2, negative below gamma = 1/3."""
-    g = _check_gamma(gamma)
+    g = check_gamma(gamma)
     return (3.0 * g - 1.0) / 2.0
 
 
@@ -95,7 +96,7 @@ def reference_concurrence(kind: str, gamma):
 
     ``kind`` is "mems" (-> gamma) or "werner" (-> max(0, (3*gamma - 1)/2)).
     """
-    g = _check_gamma(gamma)
+    g = check_gamma(gamma)
     if kind == "mems":
         return g if g.shape else float(g)
     if kind == "werner":

@@ -8,14 +8,15 @@ Wootters route stays the ground truth of ``verify-spectra``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelKind, apply_product, kraus_operators
+from .channels import ChannelKind, apply_product, check_strength, kraus_operators
 from .concurrence import xstate_concurrence
 from .spectra import closed_form_spectrum, concurrence_from_spectrum
-from .states import mems
+from .states import check_gamma, mems
 
 ENGINES = ("numeric", "closed_form")
 
@@ -44,18 +45,16 @@ class SweepConfig:
     engine: str = "numeric"
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        check_gamma(self.gamma)
+        check_strength(self.kind, (self.strength_min, self.strength_max))
         if not self.strength_min < self.strength_max:
             raise ValueError("strength_min must be below strength_max")
-        if self.strength_min < 0:
-            raise ValueError("strength_min must be >= 0")
-        if self.kind.is_flip and self.strength_max > 1.0:
-            raise ValueError(f"{self.kind.value}: strength domain is [0, 1]")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        if self.refine_tol <= 0 or self.zero_tol <= 0:
-            raise ValueError("refine_tol and zero_tol must be positive")
+        for name in ("refine_tol", "zero_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
@@ -66,10 +65,6 @@ class ConcurrenceCurve:
 
     strengths: np.ndarray
     concurrences: np.ndarray
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return [(float(s), float(c)) for s, c in zip(self.strengths, self.concurrences)]
 
 
 @dataclass(frozen=True)

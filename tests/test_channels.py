@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from esdscan.channels import (
     COMPLETENESS_TOL,
     ChannelKind,
-    KrausChannel,
     apply_product,
     apply_product_channel,
     check_completeness,
@@ -168,10 +167,9 @@ def test_strength_domain_errors(kind, bad):
         kraus_set(kind, bad)
 
 
-def test_kraus_channel_enforces_completeness():
-    with pytest.raises(ValueError):
-        KrausChannel(kind=ChannelKind.BIT_FLIP, strength=0.5,
-                     operators=np.stack([I2, I2]))
+def test_apply_product_channel_enforces_completeness():
+    with pytest.raises(ValueError, match="completeness"):
+        apply_product_channel(mems(0.5), np.stack([I2, I2]))
 
 
 def test_apply_product_channel_output_validates():
@@ -180,6 +178,6 @@ def test_apply_product_channel_output_validates():
 
 
 def test_operator_counts():
-    assert kraus_set(ChannelKind.BIT_FLIP, 0.2).operators.shape == (2, 2, 2)
-    assert kraus_set(ChannelKind.PHASE_DAMPING, 0.2).operators.shape == (3, 2, 2)
-    assert kraus_set(ChannelKind.DEPOLARIZING, 0.2).operators.shape == (4, 2, 2)
+    assert kraus_set(ChannelKind.BIT_FLIP, 0.2).shape == (2, 2, 2)
+    assert kraus_set(ChannelKind.PHASE_DAMPING, 0.2).shape == (3, 2, 2)
+    assert kraus_set(ChannelKind.DEPOLARIZING, 0.2).shape == (4, 2, 2)

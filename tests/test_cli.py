@@ -155,6 +155,17 @@ def test_exit_code_usage_errors(capsys):
     assert run("sweep", "--channel", "bitflip", "--gamma", "1.5") == 1
     assert run("zones", "--channel", "bitflip", "--gamma", "0.2",
                "--min", "0.9", "--max", "0.1") == 1
+    # non-finite tolerances and domain ends once gave wrong answers with exit 0
+    assert run("zones", "--channel", "bitflip", "--gamma", "0.2",
+               "--zero-tol", "nan") == 1
+    assert run("zones", "--channel", "bitflip", "--gamma", "0.2",
+               "--refine-tol", "nan") == 1
+    assert run("verify-spectra", "--channel", "depolarizing", "--gamma-steps", "5",
+               "--steps", "5", "--tol", "nan") == 1
+    assert run("zones", "--channel", "amplitudedamping", "--gamma", "0.4",
+               "--engine", "closedform", "--max", "inf") == 1
+    # --engine belongs to sweep and zones only
+    assert run("verify-spectra", "--engine", "numeric") == 1
 
 
 def test_exit_code_integrity_failure(capsys):

@@ -6,14 +6,13 @@ from esdscan.concurrence import (
     IntegrityError,
     XStructureError,
     concurrence,
-    concurrence_eig_route,
     spin_flip,
     wootters_spectrum,
     xstate_concurrence,
 )
 from esdscan.states import mems, werner
 
-from _oracles import xblock_concurrence
+from _oracles import concurrence_eig_route, xblock_concurrence
 
 
 def bell():

@@ -4,19 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from esdscan.linalg import (
-    EIG_TOL,
-    I2,
-    I4,
-    PAULI_X,
-    PAULI_Y,
-    SolverError,
-    charpoly4,
-    dag,
-    durand_kerner,
-    eig4,
-    kron2,
-)
+from esdscan.linalg import I2, I4, PAULI_X, PAULI_Y, dag, kron2
+
+from _oracles import EIG_TOL, SolverError, charpoly4, durand_kerner, eig4
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 

@@ -134,6 +134,11 @@ class TestCompare:
         rec = compare_spectrum(ChannelKind.DEPOLARIZING, 0.2, 0.5)
         assert rec is not None and rec.max_abs_error > 1e-3
 
+    def test_unevaluable_cell_gives_inf_record(self):
+        rec = compare_spectrum(ChannelKind.BIT_PHASE_FLIP, 0.2, 0.1)
+        assert rec is not None and rec.closed_form is None
+        assert rec.max_abs_error == np.inf
+
     def test_above_branch_point_disagrees(self):
         # (p = 0.5 is excluded: there the evolved state is weight-independent
         # and every closed form coincidentally agrees)
@@ -168,3 +173,12 @@ def test_scan_grid_reports_unevaluable_cells_as_inf():
 def test_gamma_domain_checked():
     with pytest.raises(ValueError):
         closed_form_spectrum(ChannelKind.BIT_FLIP, 1.2, 0.5)
+    # a domain error, not a formula failure: the exact type is ValueError
+    for kind, gamma, strength in [
+        (ChannelKind.BIT_FLIP, np.nan, 0.5),
+        (ChannelKind.BIT_FLIP, 0.5, 1.5),
+        (ChannelKind.AMPLITUDE_DAMPING, 0.5, -0.5),
+    ]:
+        with pytest.raises(ValueError) as err:
+            closed_form_spectrum(kind, gamma, strength)
+        assert type(err.value) is ValueError

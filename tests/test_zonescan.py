@@ -24,6 +24,13 @@ class TestConfig:
             cfg(ChannelKind.BIT_FLIP, 0.5, grid_points=1)
         with pytest.raises(ValueError):
             cfg(ChannelKind.BIT_FLIP, 0.5, engine="magic")
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="refine_tol"):
+                cfg(ChannelKind.BIT_FLIP, 0.2, refine_tol=tol)
+            with pytest.raises(ValueError, match="zero_tol"):
+                cfg(ChannelKind.BIT_FLIP, 0.2, zero_tol=tol)
+        with pytest.raises(ValueError, match="inf"):
+            cfg(ChannelKind.AMPLITUDE_DAMPING, 0.4, strength_max=np.inf)
 
     def test_damping_domain_extends_past_one(self):
         c = cfg(ChannelKind.AMPLITUDE_DAMPING, 0.5, strength_max=3.0, grid_points=11)
@@ -66,8 +73,8 @@ class TestSampleCurve:
 
     def test_samples_property(self):
         curve = sample_curve(cfg(ChannelKind.PHASE_DAMPING, 0.2, grid_points=5))
-        assert len(curve.samples) == 5
-        assert curve.samples[0][0] == 0.0
+        assert len(curve.strengths) == len(curve.concurrences) == 5
+        assert curve.strengths[0] == 0.0
 
 
 # endpoints computed independently during development with an explicit
