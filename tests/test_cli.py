@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from esdscan import __version__
 from esdscan.cli import main
 from esdscan.spectra import COMPARE_TOL, compare_spectrum
 from esdscan.channels import ChannelKind
@@ -112,9 +113,76 @@ def test_plot_script_references_csv(tmp_path):
     assert "plot" in text
 
 
+MANIFEST_CASES = [
+    (["compare-states", "--steps", "3"],
+     "# command: compare-states\n"
+     "# parameters: command=compare-states steps=3"),
+    (["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "3"],
+     "# command: sweep\n"
+     "# parameters: channel=bitflip command=sweep engine=numeric gamma=0.2 "
+     "max=1.0 min=0.0 steps=3"),
+    (["zones", "--channel", "bitflip", "--gamma", "0.2", "--steps", "101"],
+     "# command: zones\n"
+     "# parameters: channel=bitflip command=zones engine=numeric gamma=0.2 "
+     "max=1.0 min=0.0 refine_tol=1e-06 steps=101 zero_tol=1e-09"),
+    (["verify-spectra", "--gamma-steps", "3", "--steps", "3"],
+     "# command: verify-spectra\n"
+     "# parameters: command=verify-spectra gamma_steps=3 max=1.0 min=0.0 "
+     "steps=3 tol=1e-08"),
+]
+
+
+@pytest.mark.parametrize("argv,head", MANIFEST_CASES, ids=[argv[0] for argv, _ in MANIFEST_CASES])
+def test_manifest_text(tmp_path, capsys, argv, head):
+    # --out, --plot-script, --no-manifest and unset options never reach the manifest
+    out = tmp_path / "m.txt"
+    run(*argv, "--out", str(out))
+    lines = out.read_text().splitlines()
+    assert "\n".join(lines[:2]) == head
+    assert lines[2] == f"# tool_version: {__version__}"
+    assert lines[3].startswith("# timestamp: ")
+    assert not lines[4].startswith("#")
+
+
+def test_plot_script_text_compare_states(tmp_path):
+    out, script = tmp_path / "fig1.csv", tmp_path / "fig1.gp"
+    assert run("compare-states", "--steps", "3", "--out", str(out),
+               "--plot-script", str(script)) == 0
+    assert script.read_text() == (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set key autotitle columnhead\n"
+        "set grid\n"
+        "plot 'fig1.csv' using 1:2 with lines, \\\n"
+        "     'fig1.csv' using 1:3 with lines, \\\n"
+        "     'fig1.csv' using 1:4 with lines\n"
+    )
+
+
+def test_plot_script_text_sweep_closedform(tmp_path):
+    out, script = tmp_path / "c.csv", tmp_path / "c.gp"
+    assert run("sweep", "--channel", "phasedamping", "--gamma", "0.4", "--steps", "3",
+               "--engine", "closedform", "--out", str(out),
+               "--plot-script", str(script)) == 0
+    assert script.read_text() == (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set key autotitle columnhead\n"
+        "set grid\n"
+        "plot 'c.csv' using 1:2 with lines, \\\n"
+        "     'c.csv' using 1:3 with lines\n"
+    )
+
+
 def test_plot_script_requires_out(tmp_path, capsys):
-    code = run("compare-states", "--plot-script", str(tmp_path / "x.gp"))
-    assert code == 1
+    # rejected before anything is written
+    for argv in (["compare-states", "--steps", "3"],
+                 ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "3"]):
+        assert run(*argv, "--plot-script", str(tmp_path / "x.gp")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--plot-script requires --out" in captured.err
+        assert not (tmp_path / "x.gp").exists()
 
 
 def test_verify_spectra_reports_and_exit_code(tmp_path, capsys):
