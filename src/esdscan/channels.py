@@ -30,10 +30,6 @@ class ChannelKind(enum.Enum):
         )
 
 
-FLIP_KINDS = tuple(k for k in ChannelKind if k.is_flip)
-DAMPING_KINDS = tuple(k for k in ChannelKind if not k.is_flip)
-
-
 def check_strength(kind: ChannelKind, strength) -> np.ndarray:
     """``strength`` as a float array, if finite and inside ``kind``'s domain."""
     s = np.asarray(strength, dtype=float)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,63 +54,52 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    tool_version: str
-    timestamp: str
-
-    def header_lines(self) -> list[str]:
-        params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters.items()))
-        return [
-            f"# command: {self.command}",
-            f"# parameters: {params}",
-            f"# tool_version: {self.tool_version}",
-            f"# timestamp: {self.timestamp}",
-        ]
+_NOT_PARAMETERS = {"out", "plot_script", "no_manifest", "func"}
+_MAX_CELLS = 10**6  # grid cells evaluated per call; about 1 KiB of peak memory each
 
 
-def _make_manifest(command: str, args: argparse.Namespace) -> RunManifest:
-    skip = {"out", "plot_script", "no_manifest", "func"}
-    params = {
-        k: v for k, v in vars(args).items() if k not in skip and v is not None
-    }
-    return RunManifest(
-        command=command,
-        parameters=params,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
+    """Write the manifest and ``lines`` to --out or stdout, then the plot script."""
+    plot_script = getattr(args, "plot_script", None)  # compare-states and sweep only
+    if plot_script and args.out is None:
+        raise CliError("--plot-script requires --out (the script references the CSV)")
+    if not args.no_manifest:
+        params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
+                          if k not in _NOT_PARAMETERS and v is not None)
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        lines = [f"# command: {args.command}", f"# parameters: {params}",
+                 f"# tool_version: {__version__}", f"# timestamp: {stamp}", *lines]
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
+    if plot_script:
+        csv_name = Path(args.out).name
+        plots = ", \\\n     ".join(
+            f"'{csv_name}' using 1:{i} with lines" for i in range(2, len(columns) + 1))
+        Path(plot_script).write_text(
+            "set datafile separator ','\nset datafile commentschars '#'\n"
+            f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
 
 
-def _document(lines: list[str], manifest: RunManifest | None) -> str:
-    head = manifest.header_lines() if manifest else []
-    return "\n".join(head + lines) + "\n"
+def _table(args, columns: list[str], series) -> int:
+    """Write a CSV whose columns hold the parallel arrays in ``series``."""
+    rows = [",".join(columns)] + [",".join(map(_fmt, values)) for values in zip(*series)]
+    _write(args, rows, columns)
+    return EXIT_OK
 
 
-def _write_plot_script(path: str, csv_path: str | None, columns: list[str]) -> None:
-    if csv_path is None:
-        raise CliError("--plot-script requires --out (the script references the CSV)")
-    rel = Path(csv_path).name
-    lines = [
-        "set datafile separator ','",
-        "set datafile commentschars '#'",
-        "set key autotitle columnhead",
-        "set grid",
-        "plot "
-        + ", \\\n     ".join(
-            f"'{rel}' using 1:{i + 2} with lines" for i in range(len(columns) - 1)
-        ),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _count(text: str) -> int:
+    """argparse type of every grid count: an integer from 1 to ``_MAX_CELLS``."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= _MAX_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {_MAX_CELLS}, got {text!r}")
+    return n
 
 
 def _channel(value: str) -> ChannelKind:
@@ -127,26 +114,12 @@ def _channel(value: str) -> ChannelKind:
 
 def _cmd_compare_states(args) -> int:
     gammas = np.linspace(0.0, 1.0, args.steps)
-    rows = ["gamma,c_werner_raw,c_werner,c_mems"]
-    for g in gammas:
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    g,
-                    werner_concurrence_raw(g),
-                    reference_concurrence("werner", g),
-                    reference_concurrence("mems", g),
-                )
-            )
-        )
-    manifest = None if args.no_manifest else _make_manifest("compare-states", args)
-    _emit(_document(rows, manifest), args.out)
-    if args.plot_script:
-        _write_plot_script(
-            args.plot_script, args.out, ["gamma", "c_werner_raw", "c_werner", "c_mems"]
-        )
-    return EXIT_OK
+    return _table(args, ["gamma", "c_werner_raw", "c_werner", "c_mems"], [
+        gammas,
+        werner_concurrence_raw(gammas),
+        reference_concurrence("werner", gammas),
+        reference_concurrence("mems", gammas),
+    ])
 
 
 def _sweep_config(args, engine: str, **detection) -> SweepConfig:
@@ -162,23 +135,13 @@ def _sweep_config(args, engine: str, **detection) -> SweepConfig:
 
 
 def _cmd_sweep(args) -> int:
-    engine = _ENGINE_NAMES[args.engine]
-    cfg = _sweep_config(args, "numeric")
-    numeric = sample_curve(cfg)
+    numeric = sample_curve(_sweep_config(args, "numeric"))
     columns = ["strength", "concurrence_numeric"]
     series = [numeric.strengths, numeric.concurrences]
-    if engine == "closed_form":
-        closed = sample_curve(_sweep_config(args, "closed_form"))
+    if _ENGINE_NAMES[args.engine] == "closed_form":
         columns.append("concurrence_closed_form")
-        series.append(closed.concurrences)
-    rows = [",".join(columns)]
-    for values in zip(*series):
-        rows.append(",".join(_fmt(v) for v in values))
-    manifest = None if args.no_manifest else _make_manifest("sweep", args)
-    _emit(_document(rows, manifest), args.out)
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, columns)
-    return EXIT_OK
+        series.append(sample_curve(_sweep_config(args, "closed_form")).concurrences)
+    return _table(args, columns, series)
 
 
 def _cmd_zones(args) -> int:
@@ -197,12 +160,14 @@ def _cmd_zones(args) -> int:
             for z in report.zones
         ],
     }
-    manifest = None if args.no_manifest else _make_manifest("zones", args)
-    _emit(_document([json.dumps(doc, indent=2)], manifest), args.out)
+    _write(args, [json.dumps(doc, indent=2)])
     return EXIT_OK
 
 
 def _cmd_verify_spectra(args) -> int:
+    if args.gamma_steps * args.steps > _MAX_CELLS:
+        raise CliError(f"--gamma-steps x --steps must be at most {_MAX_CELLS} cells, "
+                       f"got {args.gamma_steps} x {args.steps}")
     kinds = [_channel(args.channel)] if args.channel else list(ChannelKind)
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     strengths = np.linspace(args.min, args.max, args.steps)
@@ -216,26 +181,12 @@ def _cmd_verify_spectra(args) -> int:
         records = scan_grid(kind, gammas, strengths, tol=args.tol)
         total += len(records)
         for r in records:
-            cf = ("nan",) * 4 if r.closed_form is None else tuple(map(_fmt, r.closed_form))
-            rows.append(
-                ",".join(
-                    (
-                        kind.value,
-                        _fmt(r.gamma),
-                        _fmt(r.strength),
-                        _fmt(r.max_abs_error),
-                        *cf,
-                        *map(_fmt, r.numeric),
-                    )
-                )
-            )
-        summary = (
-            f"{kind.value}: {len(records)} discrepant cells of "
-            f"{len(gammas) * len(strengths)}"
-        )
-        print(summary, file=sys.stderr)
-    manifest = None if args.no_manifest else _make_manifest("verify-spectra", args)
-    _emit(_document(rows, manifest), args.out)
+            cf = ("nan",) * 4 if r.closed_form is None else map(_fmt, r.closed_form)
+            rows.append(",".join((kind.value, _fmt(r.gamma), _fmt(r.strength),
+                                  _fmt(r.max_abs_error), *cf, *map(_fmt, r.numeric))))
+        print(f"{kind.value}: {len(records)} discrepant cells of "
+              f"{len(gammas) * len(strengths)}", file=sys.stderr)
+    _write(args, rows)
     return EXIT_DISCREPANCIES if total else EXIT_OK
 
 
@@ -263,7 +214,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare-states",
                        help="reference concurrence of MEMS vs Werner states")
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=_count, default=101)
     p.add_argument("--out")
     p.add_argument("--plot-script", help="also emit a gnuplot script")
     p.add_argument("--no-manifest", action="store_true")
@@ -274,7 +225,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--steps", type=int, default=201)
+    p.add_argument("--steps", type=_count, default=201)
     p.add_argument("--plot-script", help="also emit a gnuplot script")
     p.set_defaults(func=_cmd_sweep)
 
@@ -283,7 +234,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--steps", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--steps", type=_count, default=DEFAULT_GRID_POINTS)
     p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL)
     p.set_defaults(func=_cmd_zones)
@@ -292,8 +243,8 @@ def build_parser() -> _Parser:
                        help="closed-form spectra vs the Wootters spectra of the "
                             "Kraus-evolved states on a grid")
     _add_common(p, channel_required=False)
-    p.add_argument("--gamma-steps", type=int, default=100)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--gamma-steps", type=_count, default=100)
+    p.add_argument("--steps", type=_count, default=100)
     p.add_argument("--tol", type=float, default=COMPARE_TOL)
     p.set_defaults(func=_cmd_verify_spectra)
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -134,7 +135,7 @@ MANIFEST_CASES = [
 
 @pytest.mark.parametrize("argv,head", MANIFEST_CASES, ids=[argv[0] for argv, _ in MANIFEST_CASES])
 def test_manifest_text(tmp_path, capsys, argv, head):
-    # --out, --plot-script, --no-manifest and unset options never reach the manifest
+    # neither --out nor an unset option (verify-spectra's --channel) reaches the manifest
     out = tmp_path / "m.txt"
     run(*argv, "--out", str(out))
     lines = out.read_text().splitlines()
@@ -234,6 +235,20 @@ def test_exit_code_usage_errors(capsys):
                "--engine", "closedform", "--max", "inf") == 1
     # --engine belongs to sweep and zones only
     assert run("verify-spectra", "--engine", "numeric") == 1
+    # grid counts below 1 are rejected up front, naming the flag (the last but one word)
+    capsys.readouterr()
+    for argv in (["compare-states", "--steps", "0"],
+                 ["compare-states", "--steps", "-2"],
+                 ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "-2"],
+                 ["zones", "--channel", "bitflip", "--gamma", "0.2", "--steps", "0"],
+                 ["verify-spectra", "--channel", "bitflip", "--steps", "3",
+                  "--gamma-steps", "0"],
+                 ["verify-spectra", "--channel", "bitflip", "--gamma-steps", "3",
+                  "--steps", "0"]):
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"esdscan: error: argument {argv[-2]}: " in captured.err
 
 
 def test_exit_code_integrity_failure(capsys):
@@ -259,17 +274,44 @@ def test_console_entry_point():
     assert proc.stdout.startswith("gamma,")
 
 
+def _run_cli_subprocess(argv, limit_bytes=None, timeout=60):
+    """``python -m esdscan.cli argv``; with ``limit_bytes``, under that address-space cap."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-m", "esdscan.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=timeout, preexec_fn=cap if limit_bytes else None,
+    )
+
+
 def test_zones_refine_tol_below_float_spacing_terminates():
     # bisection cannot narrow a bracket below one ulp; it must stop there
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "esdscan.cli", "zones", "--channel", "bitflip",
-         "--gamma", "0.2", "--refine-tol", "1e-300", "--no-manifest"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_cli_subprocess(["zones", "--channel", "bitflip", "--gamma", "0.2",
+                                "--refine-tol", "1e-300", "--no-manifest"])
     assert proc.returncode == 0, proc.stderr
     (zone,) = json.loads(proc.stdout)["zones"]
     assert zone["death"] == pytest.approx(0.039293457, abs=1e-6)
     assert zone["rebirth"] == pytest.approx(0.960706543, abs=1e-6)
+
+
+def test_oversized_grids_rejected_before_allocation():
+    # Each grid needs a GiB or more. A 512 MiB address-space cap turns any attempt
+    # to build one into a MemoryError instead of exhausting the machine.
+    bitflip = ["--channel", "bitflip", "--gamma", "0.2"]
+    for argv, flag in (
+        (["sweep", *bitflip, "--steps", "100000000"], "argument --steps: "),
+        (["zones", *bitflip, "--steps", "1000001"], "argument --steps: "),
+        (["compare-states", "--steps", "100000000"], "argument --steps: "),
+        (["verify-spectra", "--gamma-steps", "1000001"], "argument --gamma-steps: "),
+        (["verify-spectra", "--gamma-steps", "1001", "--steps", "1000"],
+         "--gamma-steps x --steps "),
+    ):
+        proc = _run_cli_subprocess([*argv, "--no-manifest"], limit_bytes=512 << 20)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("esdscan: error: " + flag), proc.stderr
