@@ -10,6 +10,7 @@ from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, require_finite
 from .states import validate_density
 
 COMPLETENESS_TOL = 1e-12
+_LARGEST = np.finfo(float).max  # the damping exponent's upper end: NaN and inf fail it
 
 
 class ChannelKind(enum.Enum):
@@ -33,13 +34,11 @@ class ChannelKind(enum.Enum):
 def check_strength(kind: ChannelKind, strength) -> np.ndarray:
     """``strength`` as a float array, if finite and inside ``kind``'s domain."""
     s = np.asarray(strength, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError(f"{kind.value}: strength must be finite, got {strength}")
-    if kind.is_flip:
-        if np.any(s < 0) or np.any(s > 1):
-            raise ValueError(f"{kind.value}: p must lie in [0, 1], got {strength}")
-    elif np.any(s < 0):
-        raise ValueError(f"{kind.value}: damping exponent must be >= 0, got {strength}")
+    if not np.all((s >= 0) & (s <= (1.0 if kind.is_flip else _LARGEST))):
+        rule = ("strength must be finite" if not np.all(np.isfinite(s))
+                else "p must lie in [0, 1]" if kind.is_flip
+                else "damping exponent must be >= 0")
+        raise ValueError(f"{kind.value}: {rule}, got {strength}")
     return s
 
 
@@ -102,10 +101,13 @@ def kraus_set(kind: ChannelKind, strength: float) -> np.ndarray:
 
 
 def check_completeness(operators: np.ndarray) -> float:
-    """Max entrywise deviation of sum_i E_i^dag E_i from the identity."""
-    ops = require_finite(np.asarray(operators, dtype=complex), "Kraus operators")
+    """Max entrywise deviation of sum_i E_i^dag E_i from I; NaN/inf entries raise."""
+    ops = np.asarray(operators, dtype=complex)
     total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-    return float(np.max(np.abs(total - I2)))
+    dev = float(np.max(np.abs(total - I2)))
+    if not dev <= COMPLETENESS_TOL:  # NaN/inf entries fail this too
+        require_finite(ops, "Kraus operators")
+    return dev
 
 
 def apply_product(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
@@ -135,6 +137,6 @@ def apply_product_channel(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """
     rho = validate_density(rho)
     dev = check_completeness(operators)
-    if dev > COMPLETENESS_TOL:
+    if not dev <= COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness off by {dev:.3e}")
     return validate_density(apply_product(rho, operators))

@@ -90,15 +90,15 @@ def _table(args, columns: list[str], series) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """argparse type of every grid count: an integer from 1 to ``_MAX_CELLS``."""
+def _count(text: str, least: int = 1) -> int:
+    """argparse type of every grid count: an integer from ``least`` to ``_MAX_CELLS``."""
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if not 1 <= n <= _MAX_CELLS:
+    if not least <= n <= _MAX_CELLS:
         raise argparse.ArgumentTypeError(
-            f"must be an integer from 1 to {_MAX_CELLS}, got {text!r}")
+            f"must be an integer from {least} to {_MAX_CELLS}, got {text!r}")
     return n
 
 
@@ -225,7 +225,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--steps", type=_count, default=201)
+    p.add_argument("--steps", type=lambda t: _count(t, 2), default=201)
     p.add_argument("--plot-script", help="also emit a gnuplot script")
     p.set_defaults(func=_cmd_sweep)
 
@@ -234,7 +234,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--steps", type=_count, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--steps", type=lambda t: _count(t, 2), default=DEFAULT_GRID_POINTS)
     p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL)
     p.set_defaults(func=_cmd_zones)

@@ -24,11 +24,12 @@ COMPARE_TOL = 1e-8
 
 
 class FormulaDomainError(ValueError):
-    """A closed-form square-root argument or eigenvalue fell below the -1e-8 guard."""
+    """A closed-form sqrt argument or eigenvalue is NaN/inf or below the -1e-8 guard."""
 
     def __init__(self, kind: ChannelKind, gamma: float, strength: float, arg: float):
+        rule = f"< -{SQRT_GUARD}" if np.isfinite(arg) else "is not finite"
         super().__init__(
-            f"{kind.value}: sqrt argument or eigenvalue {arg:.3e} < -{SQRT_GUARD} "
+            f"{kind.value}: sqrt argument or eigenvalue {arg:.3e} {rule} "
             f"at gamma={gamma}, strength={strength}"
         )
         self.kind = kind
@@ -41,8 +42,8 @@ class FormulaDomainError(ValueError):
 class DiscrepancyRecord:
     """One grid cell where closed form and numeric spectra disagree.
 
-    ``closed_form`` is None when the formula could not be evaluated there
-    (negative square-root argument); ``max_abs_error`` is +inf in that case.
+    ``closed_form`` is None when the formula could not be evaluated there (a
+    negative sqrt argument or a NaN/inf eigenvalue); ``max_abs_error`` is +inf then.
     """
 
     kind: ChannelKind
@@ -53,12 +54,13 @@ class DiscrepancyRecord:
     numeric: tuple[float, float, float, float]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _raw_lambdas(kind: ChannelKind, gamma, strength):
     """Literal formula evaluation.
 
-    Returns (lambdas (..., 4), badness (...)) where badness is the most
-    negative square-root argument or eigenvalue produced per cell; anything
-    below -SQRT_GUARD marks the cell unevaluable.
+    Returns (lambdas (..., 4), badness (...)) where badness is the most negative
+    sqrt argument or eigenvalue per cell, NaN where an eigenvalue overflowed;
+    a cell is evaluable only where badness >= -SQRT_GUARD.
     """
     g = np.asarray(gamma, dtype=float)
     s = np.asarray(strength, dtype=float)
@@ -135,7 +137,8 @@ def _raw_lambdas(kind: ChannelKind, gamma, strength):
         raise ValueError(f"unhandled channel kind {kind}")
 
     lam = np.stack(np.broadcast_arrays(l1, l2, l3, l4), axis=-1)
-    return lam, np.minimum(ok, np.min(lam, axis=-1))
+    worst = np.minimum(ok, np.min(lam, axis=-1))
+    return lam, np.where(np.max(lam, axis=-1) < np.inf, worst, np.nan)
 
 
 def closed_form_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
@@ -146,20 +149,16 @@ def closed_form_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
     ValueError
         When gamma or the strength lies outside its domain.
     FormulaDomainError
-        When a square-root argument falls below -1e-8 (as the bit-phase-flip
-        expressions do for p(1-p) < 2/9 at any gamma > 0).
+        When a square-root argument falls below -1e-8 (as in the bit-phase-flip
+        formulas for p(1-p) < 2/9 at any gamma > 0) or an eigenvalue is NaN/inf.
     """
     g, s = check_gamma(gamma), check_strength(kind, strength)
     lam, badness = _raw_lambdas(kind, g, s)
-    if np.any(badness < -SQRT_GUARD):
-        flat = int(np.argmin(badness))
+    if not np.all(badness >= -SQRT_GUARD):
+        flat = int(np.argmin(badness))  # the first NaN, else the most negative
         gg, ss = np.broadcast_arrays(g, s)
-        raise FormulaDomainError(
-            kind,
-            float(gg.ravel()[flat]),
-            float(ss.ravel()[flat]),
-            float(badness.ravel()[flat]),
-        )
+        raise FormulaDomainError(kind, float(gg.ravel()[flat]), float(ss.ravel()[flat]),
+                                 float(badness.ravel()[flat]))
     return np.clip(lam, 0.0, None)
 
 
@@ -208,7 +207,7 @@ def scan_grid(
     gg, ss = np.broadcast_arrays(gam, st)
 
     lam, badness = _raw_lambdas(kind, gg, ss)
-    bad = badness < -SQRT_GUARD
+    bad = ~(badness >= -SQRT_GUARD)
     closed = np.sort(np.clip(lam, 0.0, None), axis=-1)
     numeric = np.sort(numeric_spectrum(kind, gg, ss), axis=-1)
     dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))

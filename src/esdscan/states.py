@@ -24,25 +24,20 @@ class DensityMatrixError(ValueError):
 def check_gamma(gamma) -> np.ndarray:
     """``gamma`` as a float array, if every entry lies in [0, 1]."""
     g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g < 0) or np.any(g > 1):
+    if not np.all((g >= 0) & (g <= 1)):  # NaN fails both comparisons
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     return g
-
-
-def mems_diagonal(gamma):
-    """Piecewise diagonal weight: 1/3 below the branch point, gamma/2 above."""
-    g = check_gamma(gamma)
-    return np.where(g < MEMS_BRANCH_POINT, 1.0 / 3.0, g / 2.0)
 
 
 def mems(gamma) -> np.ndarray:
     """Maximally entangled mixed state for mixing parameter ``gamma``.
 
-    diag(g, 1-2g, 0, g) with corner coherences gamma/2; concurrence is
-    exactly ``gamma``. Broadcasts: an array ``gamma`` yields (..., 4, 4).
+    diag(d, 1-2d, 0, d) with corner coherences gamma/2, where d is 1/3 below the
+    branch point and gamma/2 above; concurrence is exactly ``gamma``.
+    Broadcasts: an array ``gamma`` yields (..., 4, 4).
     """
     g = check_gamma(gamma)
-    d = mems_diagonal(g)
+    d = np.where(g < MEMS_BRANCH_POINT, 1.0 / 3.0, g / 2.0)
     out = np.zeros(g.shape + (4, 4), dtype=complex)
     out[..., 0, 0] = d
     out[..., 1, 1] = 1.0 - 2.0 * d
@@ -70,17 +65,21 @@ def validate_density(m: np.ndarray) -> np.ndarray:
         Carrying which invariant failed (hermiticity, trace, positivity)
         and the measured deviation. For stacks, the worst element decides.
     """
-    m = require_finite(np.asarray(m, dtype=complex), "density matrix")
+    m = np.asarray(m, dtype=complex)
+    # NaN/inf entries are looked for only once a test fails; their message wins.
     if m.shape[-2:] != (4, 4):
+        require_finite(m, "density matrix")
         raise ValueError(f"expected (..., 4, 4), got shape {m.shape}")
-    herm = float(np.max(np.abs(m - dag(m))))
-    if herm > HERM_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        herm = float(np.max(np.abs(m - dag(m))))
+    if not herm <= HERM_TOL:
+        require_finite(m, "density matrix")
         raise DensityMatrixError("hermiticity", herm)
     trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
-    if trace_dev > TRACE_TOL:
+    if not trace_dev <= TRACE_TOL:
         raise DensityMatrixError("trace", trace_dev)
     min_eig = float(np.min(np.linalg.eigvalsh(m)))
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:
         raise DensityMatrixError("positivity", -min_eig)
     return m
 

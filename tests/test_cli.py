@@ -241,6 +241,8 @@ def test_exit_code_usage_errors(capsys):
                  ["compare-states", "--steps", "-2"],
                  ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "-2"],
                  ["zones", "--channel", "bitflip", "--gamma", "0.2", "--steps", "0"],
+                 ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "1"],
+                 ["zones", "--channel", "bitflip", "--gamma", "0.2", "--steps", "1"],
                  ["verify-spectra", "--channel", "bitflip", "--steps", "3",
                   "--gamma-steps", "0"],
                  ["verify-spectra", "--channel", "bitflip", "--gamma-steps", "3",
@@ -255,6 +257,15 @@ def test_exit_code_integrity_failure(capsys):
     code = run("sweep", "--channel", "bitphaseflip", "--gamma", "0.2",
                "--engine", "closedform")
     assert code == 3
+    # closed forms that overflow at large lt once gave NaN rows or false rebirths
+    capsys.readouterr()
+    for argv in (["zones", "--channel", "depolarizing", "--max", "1000"],
+                 ["zones", "--channel", "amplitudedamping", "--max", "100"],
+                 ["sweep", "--channel", "amplitudedamping", "--max", "800", "--steps", "3"]):
+        assert run(*argv, "--gamma", "0.5", "--engine", "closedform") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite at gamma=0.5, strength=" in captured.err
 
 
 def test_stdout_default(capsys):

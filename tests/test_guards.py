@@ -1,4 +1,8 @@
-"""The input guards: which bad input raises what, and which rule wins when two break."""
+"""The input guards: which bad input raises what, which rule wins when two break,
+and that each input of a query is checked once."""
+
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +12,12 @@ from esdscan.channels import (
     apply_product_channel,
     check_completeness,
     check_strength,
+    kraus_set,
 )
+from esdscan.concurrence import concurrence, xstate_concurrence
 from esdscan.linalg import I2
 from esdscan.states import DensityMatrixError, check_gamma, mems, validate_density
+from esdscan.zonescan import SweepConfig, find_zones
 
 NAN, INF = float("nan"), float("inf")
 FLIP, DAMP = ChannelKind.BIT_FLIP, ChannelKind.AMPLITUDE_DAMPING
@@ -124,3 +131,42 @@ def test_guards_accept_domain_ends():
     # finite operators whose products overflow give an infinite deviation, no error
     assert check_completeness(_ops(1e200)) == INF
     validate_density(_state())
+
+
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _count_guard_calls(monkeypatch):
+    """Count the guard calls made through every module's binding of each guard."""
+    counts = Counter()
+    for module in ("linalg", "states", "channels", "concurrence", "spectra", "zonescan"):
+        # sys.modules, because the package attribute esdscan.concurrence is a function
+        mod = sys.modules[f"esdscan.{module}"]
+        for name in ("check_gamma", "check_strength", "require_finite"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, _counting(counts, name, getattr(mod, name)))
+    return counts
+
+
+def test_each_input_checked_once_per_query(monkeypatch):
+    counts = _count_guard_calls(monkeypatch)
+    rho = apply_product_channel(mems(0.4), kraus_set(ChannelKind.AMPLITUDE_DAMPING, 0.2))
+    concurrence(rho)
+    xstate_concurrence(rho)
+    # gamma by mems, the strength by kraus_set, one finiteness pass per concurrence route
+    assert dict(counts) == {"check_gamma": 1, "check_strength": 1, "require_finite": 2}
+
+
+def test_find_zones_checks_gamma_once_per_evaluation(monkeypatch):
+    cfg = SweepConfig(kind=FLIP, gamma=0.2)
+    counts = _count_guard_calls(monkeypatch)
+    zonescan = sys.modules["esdscan.zonescan"]
+    monkeypatch.setattr(zonescan, "_concurrence_at",
+                        _counting(counts, "evaluations", zonescan._concurrence_at))
+    assert len(find_zones(cfg).zones) == 1
+    assert counts["evaluations"] > 1
+    assert counts["check_gamma"] == counts["check_strength"] == counts["evaluations"]

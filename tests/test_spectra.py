@@ -168,6 +168,14 @@ def test_scan_grid_reports_unevaluable_cells_as_inf():
     # deterministic (gamma, strength) ordering
     keys = [(r.gamma, r.strength) for r in recs]
     assert keys == sorted(keys)
+    # the damping formulas overflow to NaN/inf at large lt: unevaluable, never agreeing
+    for kind in (ChannelKind.AMPLITUDE_DAMPING, ChannelKind.PHASE_DAMPING,
+                 ChannelKind.DEPOLARIZING):
+        recs = scan_grid(kind, np.linspace(0, 1, 3), np.linspace(0, 1000, 3))
+        infs = [r for r in recs if r.closed_form is None]
+        assert [(r.gamma, r.strength) for r in infs] == [
+            (g, s) for g in (0.0, 0.5, 1.0) for s in (500.0, 1000.0)]
+        assert all(r.max_abs_error == np.inf for r in infs)
 
 
 def test_gamma_domain_checked():
