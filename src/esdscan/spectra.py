@@ -136,9 +136,9 @@ def _raw_lambdas(kind: ChannelKind, gamma, strength):
     else:  # pragma: no cover
         raise ValueError(f"unhandled channel kind {kind}")
 
-    lam = np.stack(np.broadcast_arrays(l1, l2, l3, l4), axis=-1)
-    worst = np.minimum(ok, np.min(lam, axis=-1))
-    return lam, np.where(np.max(lam, axis=-1) < np.inf, worst, np.nan)
+    cols = np.broadcast_arrays(l1, l2, l3, l4)  # reduced over axis 0: fast
+    worst = np.where(np.max(cols, axis=0) < np.inf, np.min(cols, axis=0), np.nan)
+    return np.stack(cols, axis=-1), np.minimum(ok, worst)
 
 
 def closed_form_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
