@@ -143,7 +143,7 @@ def _counting(counts, name, fn):
 def _count_guard_calls(monkeypatch):
     """Count the guard calls made through every module's binding of each guard."""
     counts = Counter()
-    for module in ("linalg", "states", "channels", "concurrence", "spectra", "zonescan"):
+    for module in ("states", "channels", "concurrence", "spectra", "zonescan"):
         # sys.modules, because the package attribute esdscan.concurrence is a function
         mod = sys.modules[f"esdscan.{module}"]
         for name in ("check_gamma", "check_strength", "require_finite"):

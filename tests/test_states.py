@@ -32,7 +32,7 @@ def test_mems_gamma_one_is_bell_projector():
 def test_mems_branch_point_continuous():
     # both branches of the diagonal weight give 1/3 at gamma = 2/3
     m = mems(2 / 3)
-    assert mems(2 / 3)[0, 0] == pytest.approx(1 / 3, abs=1e-15)
+    assert m[0, 0] == pytest.approx(1 / 3, abs=1e-15)
     explicit = np.diag([1 / 3, 1 / 3, 0, 1 / 3]).astype(complex)
     explicit[0, 3] = explicit[3, 0] = 1 / 3
     assert np.allclose(m, explicit, atol=1e-15)
