@@ -86,6 +86,46 @@ def amplitude_damping_death(gamma: float) -> float:
     return float(-np.log(1.0 - s))
 
 
+def zones_ref(evaluate, lo: float, hi: float, points: int, refine_tol: float,
+              zero_tol: float, touch_width: float = 5e-3) -> list[tuple]:
+    """Grid-plus-bisection zones, one edge at a time: (death, rebirth, touch) each.
+
+    ``evaluate`` maps strengths (the grid, then one scalar per bisection step)
+    to concurrences. A zone's death is ``lo`` when the grid starts dead and its
+    rebirth is None when the grid ends dead. Each edge is halved until its
+    bracket is no wider than ``refine_tol`` or no float lies between its ends.
+    """
+    xs = np.linspace(lo, hi, points)
+    dead = evaluate(xs) <= zero_tol
+
+    def edge(alive, gone):
+        a, b = alive, gone
+        while abs(b - a) > refine_tol:
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            if float(evaluate(mid)) <= zero_tol:
+                b = mid
+            else:
+                a = mid
+        return float(0.5 * (a + b))
+
+    zones = []
+    i = 0
+    while i < points:
+        if not dead[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < points and dead[j + 1]:
+            j += 1
+        death = float(xs[0]) if i == 0 else edge(xs[i - 1], xs[i])
+        rebirth = None if j == points - 1 else edge(xs[j + 1], xs[j])
+        zones.append((death, rebirth, rebirth is not None and rebirth - death <= touch_width))
+        i = j + 1
+    return zones
+
+
 # ------------------------------------------------ cross-check eigen solvers
 
 # Absolute accuracy demanded of the 4x4 eigensolver for unit-magnitude entries.

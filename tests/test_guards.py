@@ -16,7 +16,13 @@ from esdscan.channels import (
 )
 from esdscan.concurrence import concurrence, xstate_concurrence
 from esdscan.linalg import I2
-from esdscan.states import DensityMatrixError, check_gamma, mems, validate_density
+from esdscan.states import (
+    DensityMatrixError,
+    check_gamma,
+    mems,
+    reference_concurrence,
+    validate_density,
+)
 from esdscan.zonescan import SweepConfig, find_zones
 
 NAN, INF = float("nan"), float("inf")
@@ -52,6 +58,10 @@ def _strength(kind):
     return lambda s: check_strength(kind, s)
 
 
+def _reference(kind):
+    return lambda g: reference_concurrence(kind, g)
+
+
 def _case(call, arg, exc, message, deviation=None, *, id):
     return pytest.param(call, arg, exc, message, deviation, id=id)
 
@@ -61,6 +71,11 @@ REJECTIONS = [
     *[_case(f, g, ValueError, f"gamma must lie in [0, 1], got {g}", id=f"{f.__name__}-{g}")
       for f in (check_gamma, mems)
       for g in (NAN, INF, -INF, -0.1, 1.1, [0.5, NAN], [0.2, 1.1, 0.4])],
+    # initial-state concurrence: the gamma message wins over the kind message
+    *[_case(_reference(kind), 1.5, ValueError, "gamma must lie in [0, 1], got 1.5",
+            id=f"reference-{kind}-1.5") for kind in ("werner", "ghz")],
+    _case(_reference("ghz"), 0.5, ValueError,
+          "unknown state kind 'ghz' (expected 'mems' or 'werner')", id="reference-ghz"),
     # strength: the non-finite message wins over the domain message
     *[_case(_strength(kind), s, ValueError,
             f"{kind.value}: strength must be finite, got {s}", id=f"{kind.value}-{s}")

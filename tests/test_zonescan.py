@@ -3,9 +3,16 @@ import pytest
 
 from esdscan.channels import ChannelKind
 from esdscan.spectra import FormulaDomainError
-from esdscan.zonescan import SweepConfig, find_zones, sample_curve
+from esdscan.zonescan import (
+    ENGINES,
+    SweepConfig,
+    Zone,
+    _concurrence_at,
+    find_zones,
+    sample_curve,
+)
 
-from _oracles import amplitude_damping_death
+from _oracles import amplitude_damping_death, zones_ref
 
 
 def cfg(kind, gamma, **kw):
@@ -169,3 +176,43 @@ class TestFindZones:
                 assert zc.rebirth is None
             else:
                 assert abs(zn.rebirth - zc.rebirth) <= 1e-5
+
+
+FLIP_GAMMAS = (0.2, 0.4, 0.66, 0.866, 0.9666, 1.0)
+DAMPING_GAMMAS = (0.2, 0.4, 0.66, 0.866, 1.0)
+PAPER_CASES = [(kind, g, {}) for kind in ChannelKind
+               for g in (FLIP_GAMMAS if kind.is_flip else DAMPING_GAMMAS)]
+EDGE_CASES = [
+    *[(ChannelKind.BIT_FLIP, 0.2, {"grid_points": n}) for n in (2, 3, 2000, 2001)],
+    (ChannelKind.AMPLITUDE_DAMPING, 0.0, {}),  # dead over the whole domain
+    (ChannelKind.AMPLITUDE_DAMPING, 0.2, {}),  # dead up to the end of the domain
+    (ChannelKind.BIT_FLIP, 0.4, {"refine_tol": 1e-300}),  # float spacing stops it
+    (ChannelKind.BIT_FLIP, 0.4, {"refine_tol": 0.1}),  # no step is taken
+]
+
+
+def _case_id(value):
+    if isinstance(value, ChannelKind):
+        return value.value
+    if isinstance(value, dict):
+        return ",".join(f"{k}={v}" for k, v in value.items()) or "defaults"
+    return str(value)
+
+
+def _zones_or_error(run):
+    """The zones ``run`` returns, or FormulaDomainError if it raises one."""
+    try:
+        return run()
+    except FormulaDomainError:
+        return FormulaDomainError
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "kind, gamma, kw", PAPER_CASES + EDGE_CASES, ids=_case_id)
+def test_find_zones_matches_sequential_reference(kind, gamma, kw, engine):
+    c = cfg(kind, gamma, engine=engine, **kw)
+    want = _zones_or_error(lambda: [Zone(*z) for z in zones_ref(
+        lambda s: _concurrence_at(c, s), c.strength_min, c.strength_max,
+        c.grid_points, c.refine_tol, c.zero_tol)])
+    assert _zones_or_error(lambda: find_zones(c).zones) == want
