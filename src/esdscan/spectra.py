@@ -212,14 +212,9 @@ def scan_grid(
     numeric = np.sort(numeric_spectrum(kind, gg, ss), axis=-1)
     dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))
 
+    cells = np.nonzero(bad | (dev > tol))
+    columns = (a[cells].tolist() for a in (gg, ss, dev, bad, closed, numeric))
     return [
-        DiscrepancyRecord(
-            kind=kind,
-            gamma=float(gg[i, j]),
-            strength=float(ss[i, j]),
-            max_abs_error=float(dev[i, j]),
-            closed_form=None if bad[i, j] else tuple(closed[i, j].tolist()),
-            numeric=tuple(numeric[i, j].tolist()),
-        )
-        for i, j in np.argwhere(bad | (dev > tol))
+        DiscrepancyRecord(kind, g, s, err, None if unevaluable else tuple(c), tuple(n))
+        for g, s, err, unevaluable, c, n in zip(*columns)
     ]

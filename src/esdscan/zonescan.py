@@ -101,47 +101,35 @@ def sample_curve(cfg: SweepConfig) -> ConcurrenceCurve:
     return ConcurrenceCurve(strengths=xs, concurrences=_concurrence_at(cfg, xs))
 
 
-def _bisect_edge(cfg: SweepConfig, alive: float, dead: float) -> float:
-    """Locate the alive/dead boundary between two bracketing strengths.
-
-    Stops at ``refine_tol`` or when no float is left between the brackets,
-    whichever comes first.
-    """
-    lo, hi = alive, dead
-    while abs(hi - lo) > cfg.refine_tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if float(_concurrence_at(cfg, mid)) <= cfg.zero_tol:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def find_zones(cfg: SweepConfig) -> ZoneReport:
     """Detect maximal intervals with concurrence <= zero_tol, refined by bisection.
 
-    Zones narrower than one grid cell can be missed; the default 2001-point
-    grid keeps that risk negligible for the curves considered here.
+    All alive/dead edges of the grid are bisected together, one evaluation per
+    step; each edge stops at ``refine_tol`` or when no float is left between
+    its brackets, whichever comes first. Zones narrower than one grid cell can
+    be missed; the default 2001-point grid keeps that risk negligible for the
+    curves considered here.
     """
     curve = sample_curve(cfg)
-    dead = curve.concurrences <= cfg.zero_tol
     xs = curve.strengths
-    n = len(xs)
+    step = np.diff((curve.concurrences <= cfg.zero_tol).astype(int), prepend=0, append=0)
+    first, last = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1  # dead runs
+    deaths, rebirths = first[first > 0], last[last < len(xs) - 1]
+    lo = np.concatenate([xs[deaths - 1], xs[rebirths + 1]])  # alive ends
+    hi = np.concatenate([xs[deaths], xs[rebirths]])  # dead ends
+    while True:
+        mid = 0.5 * (lo + hi)
+        todo = (np.abs(hi - lo) > cfg.refine_tol) & (mid != lo) & (mid != hi)
+        if not todo.any():
+            break
+        gone = _concurrence_at(cfg, mid[todo]) <= cfg.zero_tol
+        hi[todo] = np.where(gone, mid[todo], hi[todo])
+        lo[todo] = np.where(gone, lo[todo], mid[todo])
 
-    zones: list[Zone] = []
-    i = 0
-    while i < n:
-        if not dead[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and dead[j + 1]:
-            j += 1
-        death = float(xs[0]) if i == 0 else float(_bisect_edge(cfg, xs[i - 1], xs[i]))
-        rebirth = None if j == n - 1 else float(_bisect_edge(cfg, xs[j + 1], xs[j]))
-        touch = rebirth is not None and (rebirth - death) <= TOUCH_WIDTH
-        zones.append(Zone(death=death, rebirth=rebirth, touch=bool(touch)))
-        i = j + 1
-    return ZoneReport(zones=zones)
+    edges = mid.tolist()
+    starts = [float(xs[0])] * (len(first) - len(deaths)) + edges[:len(deaths)]
+    ends = edges[len(deaths):] + [None] * (len(last) - len(rebirths))
+    return ZoneReport(zones=[
+        Zone(death=d, rebirth=r, touch=r is not None and r - d <= TOUCH_WIDTH)
+        for d, r in zip(starts, ends)
+    ])

@@ -183,5 +183,6 @@ def test_find_zones_checks_gamma_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(zonescan, "_concurrence_at",
                         _counting(counts, "evaluations", zonescan._concurrence_at))
     assert len(find_zones(cfg).zones) == 1
-    assert counts["evaluations"] > 1
+    # the grid, then one stacked evaluation per bisection step for both edges
+    assert counts["evaluations"] == 10
     assert counts["check_gamma"] == counts["check_strength"] == counts["evaluations"]
