@@ -14,6 +14,7 @@ import numpy as np
 
 from .channels import ChannelKind, apply_product, check_strength, kraus_operators
 from .concurrence import wootters_spectrum
+from .linalg import require_finite
 from .states import check_gamma, mems
 
 # Square-root arguments driven negative by rounding are clamped at 0 down to
@@ -163,8 +164,11 @@ def closed_form_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
 
 
 def concurrence_from_spectrum(lambdas) -> np.ndarray:
-    """max{0, sqrt(l_(1)) - sqrt(l_(2)) - sqrt(l_(3)) - sqrt(l_(4))}, roots descending."""
-    lam = np.asarray(lambdas, dtype=float)
+    """max{0, sqrt(l_(1)) - sqrt(l_(2)) - sqrt(l_(3)) - sqrt(l_(4))}, roots descending.
+
+    Raises ValueError when a spectrum entry is NaN or infinite.
+    """
+    lam = require_finite(np.asarray(lambdas, dtype=float), "spectrum")
     roots = np.sort(np.sqrt(np.clip(lam, 0.0, None)), axis=-1)[..., ::-1]
     c = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
     return c if c.shape else float(c)

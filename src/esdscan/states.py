@@ -70,6 +70,8 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         require_finite(m, "density matrix")
         raise ValueError(f"expected (..., 4, 4), got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"expected at least one density matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
         herm = float(np.max(np.abs(m - dag(m))))
     if not herm <= HERM_TOL:
@@ -95,10 +97,10 @@ def reference_concurrence(kind: str, gamma):
 
     ``kind`` is "mems" (-> gamma) or "werner" (-> max(0, (3*gamma - 1)/2)).
     """
-    g = check_gamma(gamma)
-    if kind == "mems":
-        return g if g.shape else float(g)
     if kind == "werner":
-        c = np.maximum(0.0, werner_concurrence_raw(g))
-        return c if c.shape else float(c)
-    raise ValueError(f"unknown state kind {kind!r} (expected 'mems' or 'werner')")
+        c = np.maximum(0.0, werner_concurrence_raw(gamma))
+    else:
+        c = check_gamma(gamma)  # a bad gamma is named before a bad kind
+        if kind != "mems":
+            raise ValueError(f"unknown state kind {kind!r} (expected 'mems' or 'werner')")
+    return c if c.shape else float(c)

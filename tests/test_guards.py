@@ -16,6 +16,7 @@ from esdscan.channels import (
 )
 from esdscan.concurrence import concurrence, xstate_concurrence
 from esdscan.linalg import I2
+from esdscan.spectra import concurrence_from_spectrum
 from esdscan.states import (
     DensityMatrixError,
     check_gamma,
@@ -101,6 +102,10 @@ REJECTIONS = [
           id="density-nan-wrong-shape"),
     _case(validate_density, np.eye(3) / 3, ValueError,
           "expected (..., 4, 4), got shape (3, 3)", id="density-shape"),
+    _case(validate_density, np.zeros((0, 3, 3)), ValueError,
+          "expected (..., 4, 4), got shape (0, 3, 3)", id="density-empty-shape"),
+    _case(validate_density, np.zeros((0, 4, 4)), ValueError,
+          "expected at least one density matrix, got shape (0, 4, 4)", id="density-empty"),
     _case(validate_density, _state([((0, 1), 0.1)]), DensityMatrixError,
           "hermiticity violation: deviation 1.000e-01", 0.1, id="density-hermiticity"),
     _case(validate_density, _state([((0, 1), 0.1), ((0, 0), 0.5)]), DensityMatrixError,
@@ -126,6 +131,13 @@ REJECTIONS = [
           id="channel-ops-incomplete"),
     _case(lambda ops: apply_product_channel(_state([((0, 1), NAN)]), ops), _ops(NAN),
           ValueError, NONFINITE_STATE, id="channel-state-before-ops"),
+    _case(lambda ops: apply_product_channel(np.zeros((0, 4, 4)), ops), _ops(0.5),
+          ValueError, "expected at least one density matrix, got shape (0, 4, 4)",
+          id="channel-empty-state"),
+    # spectra: the closed-form concurrence accepts finite eigenvalues only
+    *[_case(concurrence_from_spectrum, lam, ValueError,
+            "spectrum contains non-finite entries", id=f"spectrum-{lam[0]}")
+      for lam in ([NAN, 0, 0, 0.1], [INF, 0, 0, 0])],
 ]
 
 
@@ -174,6 +186,10 @@ def test_each_input_checked_once_per_query(monkeypatch):
     xstate_concurrence(rho)
     # gamma by mems, the strength by kraus_set, one finiteness pass per concurrence route
     assert dict(counts) == {"check_gamma": 1, "check_strength": 1, "require_finite": 2}
+    counts.clear()
+    reference_concurrence("werner", 0.5)
+    reference_concurrence("mems", 0.5)
+    assert dict(counts) == {"check_gamma": 2}
 
 
 def test_find_zones_checks_gamma_once_per_evaluation(monkeypatch):
