@@ -114,10 +114,10 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     xs = curve.strengths
     step = np.diff((curve.concurrences <= cfg.zero_tol).astype(int), prepend=0, append=0)
     first, last = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1  # dead runs
-    deaths, rebirths = first[first > 0], last[last < len(xs) - 1]
-    lo = np.concatenate([xs[deaths - 1], xs[rebirths + 1]])  # alive ends
-    hi = np.concatenate([xs[deaths], xs[rebirths]])  # dead ends
-    while True:
+    dies, revives = first[first > 0], last[last < len(xs) - 1]  # runs with a bisected edge
+    lo = np.concatenate([xs[dies - 1], xs[revives + 1]])  # alive ends
+    hi = np.concatenate([xs[dies], xs[revives]])  # dead ends
+    while True:  # one evaluation per step, of the midpoints still open
         mid = 0.5 * (lo + hi)
         todo = (np.abs(hi - lo) > cfg.refine_tol) & (mid != lo) & (mid != hi)
         if not todo.any():
@@ -127,9 +127,9 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
         lo[todo] = np.where(gone, lo[todo], mid[todo])
 
     edges = mid.tolist()
-    starts = [float(xs[0])] * (len(first) - len(deaths)) + edges[:len(deaths)]
-    ends = edges[len(deaths):] + [None] * (len(last) - len(rebirths))
+    deaths = [float(xs[0])] * (len(first) - len(dies)) + edges[:len(dies)]
+    rebirths = edges[len(dies):] + [None] * (len(last) - len(revives))
     return ZoneReport(zones=[
         Zone(death=d, rebirth=r, touch=r is not None and r - d <= TOUCH_WIDTH)
-        for d, r in zip(starts, ends)
+        for d, r in zip(deaths, rebirths)
     ])
