@@ -12,7 +12,7 @@ from esdscan.channels import (
     kraus_operators,
     kraus_set,
 )
-from esdscan.linalg import HERM_TOL, I2, PAULI_X, dag, kron2
+from esdscan.linalg import HERM_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron2
 from esdscan.states import mems, validate_density, werner
 
 from _oracles import evolve_ref, kraus_ref, mems_ref
@@ -23,13 +23,53 @@ X_SLOTS = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)]
 
 
 def domain_grid(kind, n):
-    return np.linspace(0.0, 1.0, n)
+    grid = np.linspace(0.0, 1.0, n)
+    # damping exponents reach far past 1: eta = e^-lt is subnormal at 745 and 0 at 1e300
+    return grid if kind.is_flip else np.concatenate([grid, [50.0, 745.0, 1e300]])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_completeness_across_domain(kind):
     ops = kraus_operators(kind, domain_grid(kind, 50))
     assert check_completeness(ops) <= COMPLETENESS_TOL
+
+
+def textbook_set(kind, s):
+    """The Kraus matrices of Nielsen & Chuang sec. 8.3, written out one by one."""
+    if kind.is_flip:
+        pauli = {ChannelKind.BIT_FLIP: PAULI_X, ChannelKind.PHASE_FLIP: PAULI_Z,
+                 ChannelKind.BIT_PHASE_FLIP: PAULI_Y}[kind]
+        return [np.sqrt(s) * I2, np.sqrt(1 - s) * pauli]
+    eta = np.exp(-s)
+    if kind is ChannelKind.AMPLITUDE_DAMPING:
+        return [np.array([[1, 0], [0, np.sqrt(eta)]], dtype=complex),
+                np.array([[0, np.sqrt(1 - eta)], [0, 0]], dtype=complex)]
+    if kind is ChannelKind.PHASE_DAMPING:
+        return [np.sqrt(eta) * I2,
+                np.array([[np.sqrt(1 - eta), 0], [0, 0]], dtype=complex),
+                np.array([[0, 0], [0, np.sqrt(1 - eta)]], dtype=complex)]
+    r = np.sqrt((1 - eta) / 3)
+    return [np.sqrt(eta) * I2, r * PAULI_X, r * PAULI_Y, r * PAULI_Z]
+
+
+def _same_bits(a, b):
+    """Equal values and equal zero signs, entry by entry."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float))))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kraus_operators_are_the_textbook_sets(kind):
+    far_end = 1.0 if kind.is_flip else 1e300  # p = 1; eta = 0
+    for s in (0.0, 0.3, far_end):
+        ours = kraus_operators(kind, s)
+        assert ours.dtype == complex
+        assert _same_bits(ours, np.stack(textbook_set(kind, s)))
+    grid = np.linspace(0.0, 1.0, 63).reshape(7, 9)
+    stacked = kraus_operators(kind, grid)
+    assert stacked.shape[:2] == (7, 9)
+    for idx in np.ndindex(7, 9):
+        assert _same_bits(stacked[idx], np.stack(textbook_set(kind, grid[idx])))
 
 
 def test_completeness_diagnostics():
