@@ -42,57 +42,40 @@ def check_strength(kind: ChannelKind, strength) -> np.ndarray:
     return s
 
 
+# Each operator is the square root of a weight times a fixed matrix
+# (Nielsen & Chuang, sec. 8.3); amplitude damping's first operator also holds |0><0|.
+_KET0_BRA0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_KET1_BRA1 = np.array([[0, 0], [0, 1]], dtype=complex)
+_DAMPING_CONSTANT = np.stack([_KET0_BRA0, np.zeros((2, 2), dtype=complex)])
+_KRAUS_MATRICES = {
+    ChannelKind.BIT_FLIP: np.stack([I2, PAULI_X]),
+    ChannelKind.PHASE_FLIP: np.stack([I2, PAULI_Z]),
+    ChannelKind.BIT_PHASE_FLIP: np.stack([I2, PAULI_Y]),
+    ChannelKind.AMPLITUDE_DAMPING: np.stack([_KET1_BRA1, [[0, 1], [0, 0]]]),
+    ChannelKind.PHASE_DAMPING: np.stack([I2, _KET0_BRA0, _KET1_BRA1]),
+    ChannelKind.DEPOLARIZING: np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z]),
+}
+
+
 def kraus_operators(kind: ChannelKind, strength) -> np.ndarray:
     """Kraus operators for one qubit, shape (..., n_ops, 2, 2).
 
-    Flip channels use {sqrt(p) I, sqrt(1-p) P} with P the matching Pauli;
-    damping channels use the exponent lt through eta = exp(-lt).
+    Flip channels weigh {I, P} by {p, 1-p}, P the matching Pauli. Damping
+    channels take the exponent lt through eta = exp(-lt): the first matrix
+    weighs eta, each other one 1-eta, or (1-eta)/3 for depolarizing.
     """
     s = check_strength(kind, strength)
-    shape = s.shape
-
-    def stack(mats):
-        out = np.zeros(shape + (len(mats), 2, 2), dtype=complex)
-        for i, m in enumerate(mats):
-            out[..., i, :, :] = m
-        return out
-
+    mats = _KRAUS_MATRICES[kind]
     if kind.is_flip:
-        pauli = {
-            ChannelKind.BIT_FLIP: PAULI_X,
-            ChannelKind.PHASE_FLIP: PAULI_Z,
-            ChannelKind.BIT_PHASE_FLIP: PAULI_Y,
-        }[kind]
-        keep = np.sqrt(s)[..., None, None] * I2
-        flip = np.sqrt(1.0 - s)[..., None, None] * pauli
-        return stack([keep, flip])
-
-    eta = np.exp(-s)
-    root_eta = np.sqrt(eta)
-    root_loss = np.sqrt(1.0 - eta)
+        weights = [s, 1.0 - s]
+    else:
+        eta = np.exp(-s)
+        loss = (1.0 - eta) / 3.0 if kind is ChannelKind.DEPOLARIZING else 1.0 - eta
+        weights = [eta] + [loss] * (len(mats) - 1)
+    ops = np.sqrt(np.stack(weights, axis=-1))[..., None, None] * mats
     if kind is ChannelKind.AMPLITUDE_DAMPING:
-        e1 = np.zeros(shape + (2, 2), dtype=complex)
-        e1[..., 0, 0] = 1.0
-        e1[..., 1, 1] = root_eta
-        e2 = np.zeros(shape + (2, 2), dtype=complex)
-        e2[..., 0, 1] = root_loss
-        return stack([e1, e2])
-    if kind is ChannelKind.PHASE_DAMPING:
-        e1 = root_eta[..., None, None] * I2
-        e2 = np.zeros(shape + (2, 2), dtype=complex)
-        e2[..., 0, 0] = root_loss
-        e3 = np.zeros(shape + (2, 2), dtype=complex)
-        e3[..., 1, 1] = root_loss
-        return stack([e1, e2, e3])
-    if kind is ChannelKind.DEPOLARIZING:
-        r = np.sqrt((1.0 - eta) / 3.0)[..., None, None]
-        return stack([
-            root_eta[..., None, None] * I2,
-            r * PAULI_X,
-            r * PAULI_Y,
-            r * PAULI_Z,
-        ])
-    raise ValueError(f"unhandled channel kind {kind}")  # pragma: no cover
+        ops += _DAMPING_CONSTANT
+    return ops
 
 
 def kraus_set(kind: ChannelKind, strength: float) -> np.ndarray:
