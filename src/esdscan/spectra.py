@@ -166,9 +166,12 @@ def closed_form_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
 def concurrence_from_spectrum(lambdas) -> np.ndarray:
     """max{0, sqrt(l_(1)) - sqrt(l_(2)) - sqrt(l_(3)) - sqrt(l_(4))}, roots descending.
 
-    Raises ValueError when a spectrum entry is NaN or infinite.
+    Raises ValueError when a spectrum entry is NaN or infinite, or when the
+    last axis does not hold four eigenvalues.
     """
     lam = require_finite(np.asarray(lambdas, dtype=float), "spectrum")
+    if lam.shape[-1:] != (4,):
+        raise ValueError(f"expected (..., 4) eigenvalues, got shape {lam.shape}")
     roots = np.sort(np.sqrt(np.clip(lam, 0.0, None)), axis=-1)[..., ::-1]
     c = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
     return c if c.shape else float(c)

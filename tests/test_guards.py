@@ -138,6 +138,13 @@ REJECTIONS = [
     *[_case(concurrence_from_spectrum, lam, ValueError,
             "spectrum contains non-finite entries", id=f"spectrum-{lam[0]}")
       for lam in ([NAN, 0, 0, 0.1], [INF, 0, 0, 0])],
+    # ... and exactly four of them per spectrum, checked after finiteness
+    *[_case(concurrence_from_spectrum, lam, ValueError,
+            f"expected (..., 4) eigenvalues, got shape {np.shape(lam)}",
+            id=f"spectrum-{len(lam)}-entries")
+      for lam in ([0.25, 0.01], [0.3, 0.01, 0, 0, 0], [])],
+    _case(concurrence_from_spectrum, [NAN, 0.01], ValueError,
+          "spectrum contains non-finite entries", id="spectrum-nan-before-count"),
 ]
 
 
