@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import ChannelKind
+from .channels import ChannelKind, check_strength
 from .concurrence import IntegrityError
 from .spectra import COMPARE_TOL, FormulaDomainError, scan_grid
 from .states import reference_concurrence, werner_concurrence_raw
@@ -169,6 +169,8 @@ def _cmd_verify_spectra(args) -> int:
         raise CliError(f"--gamma-steps x --steps must be at most {_MAX_CELLS} cells, "
                        f"got {args.gamma_steps} x {args.steps}")
     kinds = [_channel(args.channel)] if args.channel else list(ChannelKind)
+    for kind in kinds:
+        check_strength(kind, (args.min, args.max))
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     strengths = np.linspace(args.min, args.max, args.steps)
     rows = [
@@ -262,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IntegrityError, FormulaDomainError) as exc:
         print(f"esdscan: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"esdscan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

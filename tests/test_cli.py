@@ -186,6 +186,19 @@ def test_plot_script_requires_out(tmp_path, capsys):
         assert not (tmp_path / "x.gp").exists()
 
 
+def test_unwritable_output_exits_1_without_traceback(tmp_path):
+    missing = tmp_path / "missing"
+    for argv, target in (
+            (["--out", str(missing / "x.csv")], missing / "x.csv"),
+            (["--out", str(tmp_path / "x.csv"), "--plot-script", str(missing / "x.gp")],
+             missing / "x.gp")):
+        proc = _run_cli_subprocess(["compare-states", "--steps", "3", *argv])
+        assert proc.returncode == 1
+        assert proc.stderr == ("esdscan: error: [Errno 2] No such file or directory: "
+                               f"'{target}'\n")
+        assert "Traceback" not in proc.stderr
+
+
 def test_verify_spectra_reports_and_exit_code(tmp_path, capsys):
     out = tmp_path / "v.csv"
     code = run("verify-spectra", "--channel", "bitphaseflip",
@@ -235,6 +248,12 @@ def test_exit_code_usage_errors(capsys):
                "--engine", "closedform", "--max", "inf") == 1
     # --engine belongs to sweep and zones only
     assert run("verify-spectra", "--engine", "numeric") == 1
+    # the strength range is checked against each channel's domain before any grid
+    capsys.readouterr()
+    assert run("verify-spectra", "--channel", "bitflip", "--max", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "esdscan: error: bitflip: p must lie in [0, 1], got (0.0, 2.0)\n"
     # grid counts below 1 are rejected up front, naming the flag (the last but one word)
     capsys.readouterr()
     for argv in (["compare-states", "--steps", "0"],
