@@ -178,6 +178,18 @@ def test_scan_grid_reports_unevaluable_cells_as_inf():
         assert all(r.max_abs_error == np.inf for r in infs)
 
 
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_axis_grids_equal_materialised_grids(kind):
+    # scan_grid passes a gamma column and a strength row; the spectra must be the
+    # same arrays, bit for bit, as on the broadcast (gamma, strength) grids
+    g = np.linspace(0.0, 1.0, 13)
+    for spectrum, s in ((numeric_spectrum, np.linspace(0.0, 1.0, 9)),
+                        # inside every closed form's domain, bit-phase flip's too
+                        (closed_form_spectrum, np.linspace(0.35, 0.65, 7))):
+        gg, ss = np.broadcast_arrays(g[:, None], s)
+        assert np.array_equal(spectrum(kind, g[:, None], s), spectrum(kind, gg, ss))
+
+
 def test_gamma_domain_checked():
     with pytest.raises(ValueError):
         closed_form_spectrum(ChannelKind.BIT_FLIP, 1.2, 0.5)
