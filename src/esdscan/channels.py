@@ -7,7 +7,7 @@ import enum
 import numpy as np
 
 from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, require_finite
-from .states import validate_density
+from .states import check_states, validate_density
 
 COMPLETENESS_TOL = 1e-12
 _LARGEST = np.finfo(float).max  # the damping exponent's upper end: NaN and inf fail it
@@ -101,7 +101,7 @@ def apply_product(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     R -> S R S^T, so the work grows with n rather than with the n^2 pairs.
     Broadcasts: rho (..., 4, 4) against operators (..., n, 2, 2).
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_states(rho)
     ops = np.asarray(operators, dtype=complex)
     sup = np.einsum("...kij,...klm->...iljm", ops, ops.conj())  # sum_k Ek x conj(Ek)
     sup = sup.reshape(*sup.shape[:-4], 4, 4)

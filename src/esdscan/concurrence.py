@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import PAULI_Y, kron2, require_finite
+from .states import check_states
 
 # Positivity guard on the evolved state; looser than solver accuracy to absorb
 # accumulation across channel application.
@@ -34,7 +35,7 @@ class XStructureError(ValueError):
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
     """Time-reversed state (sy x sy) rho* (sy x sy); Hermitian whenever rho is."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_states(rho)
     return SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY
 
 
@@ -59,7 +60,7 @@ def wootters_sigmas(rho: np.ndarray) -> np.ndarray:
     full absolute accuracy where the direct eigenvalue route loses half its
     digits on the (frequent) zero eigenvalues.
     """
-    rho = require_finite(np.asarray(rho, dtype=complex), "state")
+    rho = require_finite(check_states(rho), "state")
     root = _sqrtm_psd(rho)
     b = root @ SPIN_FLIP_YY @ root.conj()
     return np.linalg.svd(b, compute_uv=False)
@@ -89,7 +90,7 @@ def xstate_concurrence(rho: np.ndarray):
     smallest eigenvalue, taken in closed form from the two 2x2 blocks, is
     below ``-NEG_TOL`` (the guard the Wootters route applies).
     """
-    rho = require_finite(np.asarray(rho, dtype=complex), "state")
+    rho = require_finite(check_states(rho), "state")
     off = np.abs(rho[..., OFF_X])
     worst = float(np.max(off))
     if worst > X_TOL:

@@ -29,6 +29,21 @@ def check_gamma(gamma) -> np.ndarray:
     return g
 
 
+def check_states(m, name: str = "state") -> np.ndarray:
+    """``m`` as a complex array, if it is a non-empty stack of 4x4 matrices.
+
+    NaN/inf entries are looked for only once the shape test fails; their
+    message, naming ``name``, wins.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        require_finite(m, name)
+        raise ValueError(f"expected (..., 4, 4), got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"expected at least one density matrix, got shape {m.shape}")
+    return m
+
+
 def mems(gamma) -> np.ndarray:
     """Maximally entangled mixed state for mixing parameter ``gamma``.
 
@@ -65,13 +80,8 @@ def validate_density(m: np.ndarray) -> np.ndarray:
         Carrying which invariant failed (hermiticity, trace, positivity)
         and the measured deviation. For stacks, the worst element decides.
     """
-    m = np.asarray(m, dtype=complex)
     # NaN/inf entries are looked for only once a test fails; their message wins.
-    if m.shape[-2:] != (4, 4):
-        require_finite(m, "density matrix")
-        raise ValueError(f"expected (..., 4, 4), got shape {m.shape}")
-    if not m.size:
-        raise ValueError(f"expected at least one density matrix, got shape {m.shape}")
+    m = check_states(m, "density matrix")
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
         herm = float(np.max(np.abs(m - dag(m))))
     if not herm <= HERM_TOL:

@@ -9,12 +9,13 @@ import pytest
 
 from esdscan.channels import (
     ChannelKind,
+    apply_product,
     apply_product_channel,
     check_completeness,
     check_strength,
     kraus_set,
 )
-from esdscan.concurrence import concurrence, xstate_concurrence
+from esdscan.concurrence import concurrence, spin_flip, wootters_spectrum, xstate_concurrence
 from esdscan.linalg import I2
 from esdscan.spectra import concurrence_from_spectrum
 from esdscan.states import (
@@ -53,6 +54,10 @@ def _diag(*values):
 
 def _channel(ops):
     return apply_product_channel(mems(0.4), ops)
+
+
+def _apply_product(rho):
+    return apply_product(rho, kraus_set(FLIP, 0.2))
 
 
 def _strength(kind):
@@ -118,6 +123,14 @@ REJECTIONS = [
           id="density-trace-before-positivity"),
     _case(validate_density, _diag(1.5, -0.5, 0.0, 0.0), DensityMatrixError,
           "positivity violation: deviation 5.000e-01", 0.5, id="density-positivity"),
+    # every other function that takes a state checks its stack as validate_density does
+    *[_case(f, m, ValueError, message, id=f"{f.__name__}-{label}")
+      for f in (concurrence, wootters_spectrum, xstate_concurrence, spin_flip, _apply_product)
+      for m, message, label in (
+          (np.eye(3) / 3, "expected (..., 4, 4), got shape (3, 3)", "shape"),
+          (np.zeros((0, 4, 4)),
+           "expected at least one density matrix, got shape (0, 4, 4)", "empty"),
+          (np.full((3, 3), NAN), "state contains non-finite entries", "nan-wrong-shape"))],
     # Kraus operators: non-finite entries are named; finite overflow is a deviation
     _case(check_completeness, _ops(NAN), ValueError, NONFINITE_OPS,
           id="completeness-nan"),
