@@ -56,17 +56,14 @@ class DiscrepancyRecord:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _raw_lambdas(kind: ChannelKind, gamma, strength):
-    """Literal formula evaluation.
+def _raw_lambdas(kind: ChannelKind, g: np.ndarray, s: np.ndarray):
+    """Literal formula evaluation on float arrays ``g`` and ``s`` that broadcast together.
 
     Returns (lambdas (..., 4), badness (...)) where badness is the most negative
     sqrt argument or eigenvalue per cell, NaN where an eigenvalue overflowed;
     a cell is evaluable only where badness >= -SQRT_GUARD.
     """
-    g = np.asarray(gamma, dtype=float)
-    s = np.asarray(strength, dtype=float)
-    g, s = np.broadcast_arrays(g, s)
-    ok = np.zeros(g.shape)  # most negative sqrt argument encountered, per cell
+    ok = 0.0  # most negative sqrt argument encountered, per cell
 
     def guarded_sqrt(arg):
         nonlocal ok
@@ -179,11 +176,7 @@ def concurrence_from_spectrum(lambdas) -> np.ndarray:
 
 def numeric_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
     """Ground-truth spectrum from the product-channel pipeline, descending (..., 4)."""
-    g = np.asarray(gamma, dtype=float)
-    s = np.asarray(strength, dtype=float)
-    g, s = np.broadcast_arrays(g, s)
-    rho = apply_product(mems(g), kraus_operators(kind, s))
-    return wootters_spectrum(rho)
+    return wootters_spectrum(apply_product(mems(gamma), kraus_operators(kind, strength)))
 
 
 def compare_spectrum(
@@ -209,19 +202,18 @@ def scan_grid(
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    gam = np.asarray(gammas, dtype=float)[:, None]
-    st = np.asarray(strengths, dtype=float)[None, :]
-    gg, ss = np.broadcast_arrays(gam, st)
+    gam = np.asarray(gammas, dtype=float)
+    st = np.asarray(strengths, dtype=float)
 
-    lam, badness = _raw_lambdas(kind, gg, ss)
+    lam, badness = _raw_lambdas(kind, gam[:, None], st)
     bad = ~(badness >= -SQRT_GUARD)
     closed = np.sort(np.clip(lam, 0.0, None), axis=-1)
-    numeric = np.sort(numeric_spectrum(kind, gg, ss), axis=-1)
+    numeric = np.sort(numeric_spectrum(kind, gam[:, None], st), axis=-1)
     dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))
 
-    cells = np.nonzero(bad | (dev > tol))
-    columns = (a[cells].tolist() for a in (gg, ss, dev, bad, closed, numeric))
+    i, j = cells = np.nonzero(bad | (dev > tol))
+    columns = [gam[i], st[j]] + [a[cells] for a in (dev, bad, closed, numeric)]
     return [
         DiscrepancyRecord(kind, g, s, err, None if unevaluable else tuple(c), tuple(n))
-        for g, s, err, unevaluable, c, n in zip(*columns)
+        for g, s, err, unevaluable, c, n in zip(*(a.tolist() for a in columns))
     ]

@@ -85,14 +85,11 @@ class ZoneReport:
     zones: list[Zone] = field(default_factory=list)
 
 
-def _concurrence_at(cfg: SweepConfig, strengths) -> np.ndarray:
-    s = np.asarray(strengths, dtype=float)
+def _concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
     if cfg.engine == "numeric":
-        rho = apply_product(mems(cfg.gamma), kraus_operators(cfg.kind, s))
-        c = xstate_concurrence(rho)
-    else:
-        c = concurrence_from_spectrum(closed_form_spectrum(cfg.kind, cfg.gamma, s))
-    return np.asarray(c, dtype=float)
+        return xstate_concurrence(apply_product(mems(cfg.gamma),
+                                                kraus_operators(cfg.kind, strengths)))
+    return concurrence_from_spectrum(closed_form_spectrum(cfg.kind, cfg.gamma, strengths))
 
 
 def sample_curve(cfg: SweepConfig) -> ConcurrenceCurve:
