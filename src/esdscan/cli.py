@@ -72,15 +72,19 @@ def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        return
+    out = Path(args.out)
+    out.write_text(text, encoding="utf-8")
     if plot_script:
-        csv_name = Path(args.out).name
         plots = ", \\\n     ".join(
-            f"'{csv_name}' using 1:{i} with lines" for i in range(2, len(columns) + 1))
-        Path(plot_script).write_text(
-            "set datafile separator ','\nset datafile commentschars '#'\n"
-            f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
+            f"'{out.name}' using 1:{i} with lines" for i in range(2, len(columns) + 1))
+        try:
+            Path(plot_script).write_text(
+                "set datafile separator ','\nset datafile commentschars '#'\n"
+                f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
+        except OSError:
+            out.unlink()  # a failed run leaves no output behind
+            raise
 
 
 def _table(args, columns: list[str], series) -> int:
@@ -102,14 +106,6 @@ def _count(text: str, least: int = 1) -> int:
     return n
 
 
-def _channel(value: str) -> ChannelKind:
-    try:
-        return ChannelKind(value)
-    except ValueError:
-        names = ", ".join(k.value for k in ChannelKind)
-        raise CliError(f"unknown channel {value!r} (choose from: {names})")
-
-
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_compare_states(args) -> int:
@@ -124,7 +120,7 @@ def _cmd_compare_states(args) -> int:
 
 def _sweep_config(args, engine: str, **detection) -> SweepConfig:
     return SweepConfig(
-        kind=_channel(args.channel),
+        kind=ChannelKind(args.channel),
         gamma=args.gamma,
         strength_min=args.min,
         strength_max=args.max,
@@ -168,9 +164,11 @@ def _cmd_verify_spectra(args) -> int:
     if args.gamma_steps * args.steps > _MAX_CELLS:
         raise CliError(f"--gamma-steps x --steps must be at most {_MAX_CELLS} cells, "
                        f"got {args.gamma_steps} x {args.steps}")
-    kinds = [_channel(args.channel)] if args.channel else list(ChannelKind)
+    kinds = [ChannelKind(args.channel)] if args.channel else list(ChannelKind)
     for kind in kinds:
         check_strength(kind, (args.min, args.max))
+    if not args.min < args.max:  # rows are ordered by increasing strength
+        raise CliError(f"--min must be below --max, got {args.min} and {args.max}")
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     strengths = np.linspace(args.min, args.max, args.steps)
     rows = [
@@ -196,7 +194,7 @@ def _cmd_verify_spectra(args) -> int:
 
 def _add_common(p: _Parser, *, channel_required: bool = True) -> None:
     p.add_argument("--channel", required=channel_required,
-                   help="one of: " + ", ".join(k.value for k in ChannelKind))
+                   choices=[k.value for k in ChannelKind])
     p.add_argument("--min", type=float, default=0.0, help="strength domain start")
     p.add_argument("--max", type=float, default=1.0, help="strength domain end")
     p.add_argument("--out", help="write output here instead of stdout")

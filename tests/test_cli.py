@@ -187,9 +187,12 @@ def test_plot_script_requires_out(tmp_path, capsys):
 
 
 def test_unwritable_output_exits_1_without_traceback(tmp_path):
+    # whichever file cannot be written, the run leaves no file behind
     missing = tmp_path / "missing"
     for argv, target in (
             (["--out", str(missing / "x.csv")], missing / "x.csv"),
+            (["--out", str(missing / "x.csv"), "--plot-script", str(tmp_path / "x.gp")],
+             missing / "x.csv"),
             (["--out", str(tmp_path / "x.csv"), "--plot-script", str(missing / "x.gp")],
              missing / "x.gp")):
         proc = _run_cli_subprocess(["compare-states", "--steps", "3", *argv])
@@ -197,6 +200,7 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path):
         assert proc.stderr == ("esdscan: error: [Errno 2] No such file or directory: "
                                f"'{target}'\n")
         assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_spectra_reports_and_exit_code(tmp_path, capsys):
@@ -234,6 +238,8 @@ def test_verify_spectra_clean_channel_region(tmp_path):
 
 def test_exit_code_usage_errors(capsys):
     assert run("sweep", "--channel", "nosuch", "--gamma", "0.5") == 1
+    assert "esdscan: error: argument --channel: invalid choice: 'nosuch'" in (
+        capsys.readouterr().err)
     assert run("sweep", "--channel", "bitflip", "--gamma", "1.5") == 1
     assert run("zones", "--channel", "bitflip", "--gamma", "0.2",
                "--min", "0.9", "--max", "0.1") == 1
@@ -254,6 +260,11 @@ def test_exit_code_usage_errors(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "esdscan: error: bitflip: p must lie in [0, 1], got (0.0, 2.0)\n"
+    # ... and must run upwards, as the rows are ordered by increasing strength
+    assert run("verify-spectra", "--channel", "bitflip", "--min", "0.9", "--max", "0.1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "esdscan: error: --min must be below --max, got 0.9 and 0.1\n"
     # grid counts below 1 are rejected up front, naming the flag (the last but one word)
     capsys.readouterr()
     for argv in (["compare-states", "--steps", "0"],
