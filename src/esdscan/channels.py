@@ -83,9 +83,22 @@ def kraus_set(kind: ChannelKind, strength: float) -> np.ndarray:
     return kraus_operators(kind, float(strength))
 
 
+def check_operators(operators) -> np.ndarray:
+    """``operators`` as a complex array, if it is a non-empty (..., n, 2, 2) stack.
+
+    NaN/inf entries are looked for only once the shape test fails; their message wins.
+    """
+    ops = np.asarray(operators, dtype=complex)
+    if ops.ndim < 3 or ops.shape[-2:] != (2, 2) or not ops.size:
+        require_finite(ops, "Kraus operators")
+        raise ValueError("expected a non-empty (..., n, 2, 2) array of Kraus operators, "
+                         f"got shape {ops.shape}")
+    return ops
+
+
 def check_completeness(operators: np.ndarray) -> float:
     """Max entrywise deviation of sum_i E_i^dag E_i from I; NaN/inf entries raise."""
-    ops = np.asarray(operators, dtype=complex)
+    ops = check_operators(operators)
     total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
     dev = float(np.max(np.abs(total - I2)))
     if not dev <= COMPLETENESS_TOL:  # NaN/inf entries fail this too
@@ -102,7 +115,7 @@ def apply_product(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     Broadcasts: rho (..., 4, 4) against operators (..., n, 2, 2).
     """
     rho = check_states(rho)
-    ops = np.asarray(operators, dtype=complex)
+    ops = check_operators(operators)
     sup = np.einsum("...kij,...klm->...iljm", ops, ops.conj())  # sum_k Ek x conj(Ek)
     sup = sup.reshape(*sup.shape[:-4], 4, 4)
     return _regroup(sup @ _regroup(rho) @ np.swapaxes(sup, -1, -2))

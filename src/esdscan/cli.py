@@ -1,7 +1,8 @@
 """Command-line front end: state comparison, sweeps, zone reports, spectrum checks.
 
 ``sweep`` and ``zones`` score the Kraus-evolved MEMS with the X-state closed
-form; ``verify-spectra`` scores the same evolved states with the Wootters
+form (``sweep --engine closedform`` adds a column from the tabulated spectra);
+``verify-spectra`` scores the same evolved states with the Wootters
 construction, the ground truth the tabulated spectra are checked against.
 
 Exit codes: 0 success, 1 argument/domain error, 2 spectrum discrepancies found,
@@ -21,7 +22,8 @@ import numpy as np
 from . import __version__
 from .channels import ChannelKind, check_strength
 from .concurrence import IntegrityError
-from .spectra import COMPARE_TOL, FormulaDomainError, scan_grid
+from .spectra import (COMPARE_TOL, FormulaDomainError, closed_form_spectrum,
+                      concurrence_from_spectrum, scan_grid)
 from .states import reference_concurrence, werner_concurrence_raw
 from .zonescan import (
     DEFAULT_GRID_POINTS,
@@ -36,8 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISCREPANCIES = 2
 EXIT_INTEGRITY = 3
-
-_ENGINE_NAMES = {"numeric": "numeric", "closedform": "closed_form"}
 
 
 def _fmt(x: float) -> str:
@@ -118,31 +118,26 @@ def _cmd_compare_states(args) -> int:
     ])
 
 
-def _sweep_config(args, engine: str, **detection) -> SweepConfig:
-    return SweepConfig(
-        kind=ChannelKind(args.channel),
-        gamma=args.gamma,
-        strength_min=args.min,
-        strength_max=args.max,
-        grid_points=args.steps,
-        engine=engine,
-        **detection,
-    )
+def _sweep_config(args, **detection) -> SweepConfig:
+    return SweepConfig(kind=ChannelKind(args.channel), gamma=args.gamma,
+                       strength_min=args.min, strength_max=args.max,
+                       grid_points=args.steps, **detection)
 
 
 def _cmd_sweep(args) -> int:
-    numeric = sample_curve(_sweep_config(args, "numeric"))
+    cfg = _sweep_config(args)
+    curve = sample_curve(cfg)
     columns = ["strength", "concurrence_numeric"]
-    series = [numeric.strengths, numeric.concurrences]
-    if _ENGINE_NAMES[args.engine] == "closed_form":
+    series = [curve.strengths, curve.concurrences]
+    if args.engine == "closedform":
         columns.append("concurrence_closed_form")
-        series.append(sample_curve(_sweep_config(args, "closed_form")).concurrences)
+        series.append(concurrence_from_spectrum(
+            closed_form_spectrum(cfg.kind, cfg.gamma, curve.strengths)))
     return _table(args, columns, series)
 
 
 def _cmd_zones(args) -> int:
-    cfg = _sweep_config(args, _ENGINE_NAMES[args.engine],
-                        refine_tol=args.refine_tol, zero_tol=args.zero_tol)
+    cfg = _sweep_config(args, refine_tol=args.refine_tol, zero_tol=args.zero_tol)
     report = find_zones(cfg)
     doc = {
         "channel": cfg.kind.value,
@@ -202,12 +197,6 @@ def _add_common(p: _Parser, *, channel_required: bool = True) -> None:
                    help="omit the '#' header (for byte-identical reruns)")
 
 
-def _add_engine(p: _Parser) -> None:
-    p.add_argument("--engine", choices=sorted(_ENGINE_NAMES), default="numeric",
-                   help="numeric: Kraus evolution scored by the X-state closed form; "
-                        "closedform: the tabulated spectra (sweep adds them as a column)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="esdscan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,7 +212,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="concurrence along the channel-strength axis "
                                      "(X-state closed form on the Kraus-evolved state)")
     _add_common(p)
-    _add_engine(p)
+    p.add_argument("--engine", choices=["closedform", "numeric"], default="numeric",
+                   help="closedform adds a column from the tabulated spectra")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=lambda t: _count(t, 2), default=201)
     p.add_argument("--plot-script", help="also emit a gnuplot script")
@@ -232,7 +222,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zones", help="detect ESD/ESDB intervals with refined endpoints "
                                      "(X-state closed form on the Kraus-evolved state)")
     _add_common(p)
-    _add_engine(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=lambda t: _count(t, 2), default=DEFAULT_GRID_POINTS)
     p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)

@@ -204,6 +204,9 @@ def scan_grid(
         raise ValueError(f"tol must be >= 0, got {tol}")
     gam = np.asarray(gammas, dtype=float)
     st = np.asarray(strengths, dtype=float)
+    for name, axis in (("gammas", gam), ("strengths", st)):
+        if axis.ndim != 1 or not axis.size:
+            raise ValueError(f"{name} must be 1-D and non-empty, got shape {axis.shape}")
 
     lam, badness = _raw_lambdas(kind, gam[:, None], st)
     bad = ~(badness >= -SQRT_GUARD)

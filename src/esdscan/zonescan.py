@@ -1,24 +1,21 @@
 """Concurrence sweeps over channel strength and ESD/ESDB zone detection.
 
-The ``numeric`` engine evolves the MEMS through the product Kraus channel and
-scores it with the X-state closed form (every evolved MEMS is an X-state);
-the ``closed_form`` engine uses the tabulated reference spectra. The general
-Wootters route stays the ground truth of ``verify-spectra``.
+The MEMS is evolved through the product Kraus channel and scored with the
+X-state closed form (every evolved MEMS is an X-state). Zones never come from
+the tabulated spectra, which are claims under test (see ``spectra``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .channels import ChannelKind, apply_product, check_strength, kraus_operators
 from .concurrence import xstate_concurrence
-from .spectra import closed_form_spectrum, concurrence_from_spectrum
 from .states import check_gamma, mems
-
-ENGINES = ("numeric", "closed_form")
 
 # A dead interval no wider than this is a tangential zero, not a real zone:
 # a quadratic touch C = a (s - s0)^2 stays below zero_tol = 1e-9 over a band
@@ -42,21 +39,20 @@ class SweepConfig:
     grid_points: int = DEFAULT_GRID_POINTS
     refine_tol: float = DEFAULT_REFINE_TOL
     zero_tol: float = DEFAULT_ZERO_TOL
-    engine: str = "numeric"
 
     def __post_init__(self):
         check_gamma(self.gamma)
         check_strength(self.kind, (self.strength_min, self.strength_max))
         if not self.strength_min < self.strength_max:
             raise ValueError("strength_min must be below strength_max")
+        if isinstance(self.grid_points, bool) or not isinstance(self.grid_points, Integral):
+            raise ValueError(f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         for name in ("refine_tol", "zero_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,8 @@ class ZoneReport:
 
 
 def _concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
-    if cfg.engine == "numeric":
-        return xstate_concurrence(apply_product(mems(cfg.gamma),
-                                                kraus_operators(cfg.kind, strengths)))
-    return concurrence_from_spectrum(closed_form_spectrum(cfg.kind, cfg.gamma, strengths))
+    return xstate_concurrence(apply_product(mems(cfg.gamma),
+                                            kraus_operators(cfg.kind, strengths)))
 
 
 def sample_curve(cfg: SweepConfig) -> ConcurrenceCurve:

@@ -124,7 +124,7 @@ MANIFEST_CASES = [
      "max=1.0 min=0.0 steps=3"),
     (["zones", "--channel", "bitflip", "--gamma", "0.2", "--steps", "101"],
      "# command: zones\n"
-     "# parameters: channel=bitflip command=zones engine=numeric gamma=0.2 "
+     "# parameters: channel=bitflip command=zones gamma=0.2 "
      "max=1.0 min=0.0 refine_tol=1e-06 steps=101 zero_tol=1e-09"),
     (["verify-spectra", "--gamma-steps", "3", "--steps", "3"],
      "# command: verify-spectra\n"
@@ -250,10 +250,16 @@ def test_exit_code_usage_errors(capsys):
                "--refine-tol", "nan") == 1
     assert run("verify-spectra", "--channel", "depolarizing", "--gamma-steps", "5",
                "--steps", "5", "--tol", "nan") == 1
+    capsys.readouterr()
     assert run("zones", "--channel", "amplitudedamping", "--gamma", "0.4",
-               "--engine", "closedform", "--max", "inf") == 1
-    # --engine belongs to sweep and zones only
+               "--max", "inf") == 1
+    assert capsys.readouterr().err == (
+        "esdscan: error: amplitudedamping: strength must be finite, got (0.0, inf)\n")
+    # --engine belongs to sweep only: zones has one route, the Kraus evolution
     assert run("verify-spectra", "--engine", "numeric") == 1
+    assert run("zones", "--channel", "bitflip", "--gamma", "0.2",
+               "--engine", "closedform") == 1
+    assert "unrecognized arguments: --engine closedform" in capsys.readouterr().err
     # the strength range is checked against each channel's domain before any grid
     capsys.readouterr()
     assert run("verify-spectra", "--channel", "bitflip", "--max", "2") == 1
@@ -289,8 +295,8 @@ def test_exit_code_integrity_failure(capsys):
     assert code == 3
     # closed forms that overflow at large lt once gave NaN rows or false rebirths
     capsys.readouterr()
-    for argv in (["zones", "--channel", "depolarizing", "--max", "1000"],
-                 ["zones", "--channel", "amplitudedamping", "--max", "100"],
+    for argv in (["sweep", "--channel", "depolarizing", "--max", "1000"],
+                 ["sweep", "--channel", "amplitudedamping", "--max", "100"],
                  ["sweep", "--channel", "amplitudedamping", "--max", "800", "--steps", "3"]):
         assert run(*argv, "--gamma", "0.5", "--engine", "closedform") == 3
         captured = capsys.readouterr()

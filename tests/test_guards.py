@@ -17,7 +17,7 @@ from esdscan.channels import (
 )
 from esdscan.concurrence import concurrence, spin_flip, wootters_spectrum, xstate_concurrence
 from esdscan.linalg import I2
-from esdscan.spectra import concurrence_from_spectrum
+from esdscan.spectra import concurrence_from_spectrum, scan_grid
 from esdscan.states import (
     DensityMatrixError,
     check_gamma,
@@ -60,12 +60,20 @@ def _apply_product(rho):
     return apply_product(rho, kraus_set(FLIP, 0.2))
 
 
+def _apply_product_ops(ops):
+    return apply_product(mems(0.4), ops)
+
+
 def _strength(kind):
     return lambda s: check_strength(kind, s)
 
 
 def _reference(kind):
     return lambda g: reference_concurrence(kind, g)
+
+
+def _grid_points(n):
+    return SweepConfig(kind=FLIP, gamma=0.2, grid_points=n)
 
 
 def _case(call, arg, exc, message, deviation=None, *, id):
@@ -147,6 +155,15 @@ REJECTIONS = [
     _case(lambda ops: apply_product_channel(np.zeros((0, 4, 4)), ops), _ops(0.5),
           ValueError, "expected at least one density matrix, got shape (0, 4, 4)",
           id="channel-empty-state"),
+    # ... and the operators' shape: a non-empty (..., n, 2, 2) stack
+    *[_case(f, ops, ValueError, "expected a non-empty (..., n, 2, 2) array of Kraus "
+            f"operators, got shape {ops.shape}", id=f"{name}-ops-{label}")
+      for f, name in ((_channel, "channel"), (_apply_product_ops, "apply-product"),
+                      (check_completeness, "completeness"))
+      for ops, label in ((np.eye(2), "2x2"), (np.ones((1, 3, 3)), "3x3"),
+                         (np.zeros((0, 2, 2)), "empty"))],
+    _case(check_completeness, np.full((3, 3), NAN), ValueError, NONFINITE_OPS,
+          id="completeness-nan-wrong-shape"),
     # spectra: the closed-form concurrence accepts finite eigenvalues only
     *[_case(concurrence_from_spectrum, lam, ValueError,
             "spectrum contains non-finite entries", id=f"spectrum-{lam[0]}")
@@ -158,6 +175,19 @@ REJECTIONS = [
       for lam in ([0.25, 0.01], [0.3, 0.01, 0, 0, 0], [])],
     _case(concurrence_from_spectrum, [NAN, 0.01], ValueError,
           "spectrum contains non-finite entries", id="spectrum-nan-before-count"),
+    # the spectrum comparer's axes: each one 1-D and non-empty
+    *[_case(lambda g: scan_grid(FLIP, g, [0.1, 0.2]), g, ValueError,
+            f"gammas must be 1-D and non-empty, got shape {np.shape(g)}",
+            id=f"scan-gammas-{label}")
+      for g, label in ((0.1, "scalar"), ([[0.1]], "2-D"), ([], "empty"))],
+    *[_case(lambda s: scan_grid(FLIP, [0.2], s), s, ValueError,
+            f"strengths must be 1-D and non-empty, got shape {np.shape(s)}",
+            id=f"scan-strengths-{label}")
+      for s, label in ((0.1, "scalar"), ([[0.1]], "2-D"), ([], "empty"))],
+    # sweep grids: an integer count, then at least two points
+    *[_case(_grid_points, n, ValueError, f"grid_points must be an integer, got {n!r}",
+            id=f"grid-points-{n}") for n in (2.5, True, "11")],
+    _case(_grid_points, 1, ValueError, "grid_points must be >= 2", id="grid-points-1"),
 ]
 
 

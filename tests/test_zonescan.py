@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from esdscan.channels import ChannelKind
-from esdscan.spectra import FormulaDomainError
+from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum
 from esdscan.zonescan import (
-    ENGINES,
     SweepConfig,
     Zone,
     _concurrence_at,
@@ -29,8 +28,6 @@ class TestConfig:
             cfg(ChannelKind.BIT_FLIP, 0.5, strength_max=1.4)
         with pytest.raises(ValueError):
             cfg(ChannelKind.BIT_FLIP, 0.5, grid_points=1)
-        with pytest.raises(ValueError):
-            cfg(ChannelKind.BIT_FLIP, 0.5, engine="magic")
         for tol in (np.nan, np.inf):
             with pytest.raises(ValueError, match="refine_tol"):
                 cfg(ChannelKind.BIT_FLIP, 0.2, refine_tol=tol)
@@ -38,6 +35,11 @@ class TestConfig:
                 cfg(ChannelKind.BIT_FLIP, 0.2, zero_tol=tol)
         with pytest.raises(ValueError, match="inf"):
             cfg(ChannelKind.AMPLITUDE_DAMPING, 0.4, strength_max=np.inf)
+
+    def test_has_no_engine(self):
+        # zones come from the Kraus evolution alone
+        with pytest.raises(TypeError, match="engine"):
+            cfg(ChannelKind.BIT_FLIP, 0.5, engine="numeric")
 
     def test_damping_domain_extends_past_one(self):
         c = cfg(ChannelKind.AMPLITUDE_DAMPING, 0.5, strength_max=3.0, grid_points=11)
@@ -58,25 +60,16 @@ class TestSampleCurve:
         undisturbed = curve.concurrences[-1] if kind.is_flip else curve.concurrences[0]
         assert undisturbed == pytest.approx(g, abs=1e-9)
 
-    @pytest.mark.parametrize("engine", ["numeric", "closed_form"])
-    def test_phase_damping_matches_exponential(self, engine):
+    @pytest.mark.parametrize("route", ["numeric"])  # the Kraus evolution, the one route
+    def test_phase_damping_matches_exponential(self, route):
         g = 0.4
-        curve = sample_curve(
-            cfg(ChannelKind.PHASE_DAMPING, g, grid_points=101, engine=engine)
-        )
+        curve = sample_curve(cfg(ChannelKind.PHASE_DAMPING, g, grid_points=101))
         expected = g * np.exp(-2 * curve.strengths)
         assert np.max(np.abs(curve.concurrences - expected)) < 1e-9
 
     def test_bit_flip_curve_symmetric(self):
         curve = sample_curve(cfg(ChannelKind.BIT_FLIP, 0.2, grid_points=201))
         assert np.max(np.abs(curve.concurrences - curve.concurrences[::-1])) < 1e-9
-
-    def test_closed_form_engine_propagates_domain_error(self):
-        with pytest.raises(FormulaDomainError):
-            sample_curve(
-                cfg(ChannelKind.BIT_PHASE_FLIP, 0.2, grid_points=21,
-                    engine="closed_form")
-            )
 
     def test_samples_property(self):
         curve = sample_curve(cfg(ChannelKind.PHASE_DAMPING, 0.2, grid_points=5))
@@ -167,10 +160,14 @@ class TestFindZones:
         [(ChannelKind.BIT_FLIP, 0.2), (ChannelKind.AMPLITUDE_DAMPING, 0.4)],
     )
     def test_engines_agree_where_formulas_hold(self, kind, gamma):
-        numeric = find_zones(cfg(kind, gamma, engine="numeric"))
-        closed = find_zones(cfg(kind, gamma, engine="closed_form"))
-        assert len(numeric.zones) == len(closed.zones)
-        for zn, zc in zip(numeric.zones, closed.zones):
+        # the evolution's zones against those the tabulated spectra give
+        c = cfg(kind, gamma)
+        numeric = find_zones(c)
+        closed = [Zone(*z) for z in zones_ref(
+            lambda s: concurrence_from_spectrum(closed_form_spectrum(kind, gamma, s)),
+            c.strength_min, c.strength_max, c.grid_points, c.refine_tol, c.zero_tol)]
+        assert len(numeric.zones) == len(closed)
+        for zn, zc in zip(numeric.zones, closed):
             assert abs(zn.death - zc.death) <= 1e-5
             if zn.rebirth is None:
                 assert zc.rebirth is None
@@ -199,20 +196,12 @@ def _case_id(value):
     return str(value)
 
 
-def _zones_or_error(run):
-    """The zones ``run`` returns, or FormulaDomainError if it raises one."""
-    try:
-        return run()
-    except FormulaDomainError:
-        return FormulaDomainError
-
-
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("route", ["numeric"])  # the Kraus evolution, the one route
 @pytest.mark.parametrize(
     "kind, gamma, kw", PAPER_CASES + EDGE_CASES, ids=_case_id)
-def test_find_zones_matches_sequential_reference(kind, gamma, kw, engine):
-    c = cfg(kind, gamma, engine=engine, **kw)
-    want = _zones_or_error(lambda: [Zone(*z) for z in zones_ref(
+def test_find_zones_matches_sequential_reference(kind, gamma, kw, route):
+    c = cfg(kind, gamma, **kw)
+    want = [Zone(*z) for z in zones_ref(
         lambda s: _concurrence_at(c, s), c.strength_min, c.strength_max,
-        c.grid_points, c.refine_tol, c.zero_tol)])
-    assert _zones_or_error(lambda: find_zones(c).zones) == want
+        c.grid_points, c.refine_tol, c.zero_tol)]
+    assert find_zones(c).zones == want
