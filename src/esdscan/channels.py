@@ -80,6 +80,9 @@ def kraus_operators(kind: ChannelKind, strength) -> np.ndarray:
 
 def kraus_set(kind: ChannelKind, strength: float) -> np.ndarray:
     """Kraus operators for a scalar strength, shape (n_ops, 2, 2)."""
+    if np.ndim(strength):
+        raise ValueError(f"strength must be a scalar, got shape {np.shape(strength)} "
+                         "(kraus_operators takes a stack of strengths)")
     return kraus_operators(kind, float(strength))
 
 
@@ -116,6 +119,10 @@ def apply_product(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """
     rho = check_states(rho)
     ops = check_operators(operators)
+    stacks = rho.shape[:-2], ops.shape[:-3]
+    if any(m != n and 1 not in (m, n) for m, n in zip(stacks[0][::-1], stacks[1][::-1])):
+        raise ValueError(f"state stack {stacks[0]} and operator stack {stacks[1]} "
+                         "do not broadcast")
     sup = np.einsum("...kij,...klm->...iljm", ops, ops.conj())  # sum_k Ek x conj(Ek)
     sup = sup.reshape(*sup.shape[:-4], 4, 4)
     return _regroup(sup @ _regroup(rho) @ np.swapaxes(sup, -1, -2))

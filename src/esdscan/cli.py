@@ -22,13 +22,11 @@ import numpy as np
 from . import __version__
 from .channels import ChannelKind, check_strength
 from .concurrence import IntegrityError
-from .spectra import (COMPARE_TOL, FormulaDomainError, closed_form_spectrum,
+from .spectra import (FormulaDomainError, closed_form_spectrum,
                       concurrence_from_spectrum, scan_grid)
 from .states import reference_concurrence, werner_concurrence_raw
 from .zonescan import (
     DEFAULT_GRID_POINTS,
-    DEFAULT_REFINE_TOL,
-    DEFAULT_ZERO_TOL,
     SweepConfig,
     find_zones,
     sample_curve,
@@ -45,13 +43,9 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse failures onto exit code 1
-        raise CliError(message)
+        raise ValueError(message)
 
 
 _NOT_PARAMETERS = {"out", "plot_script", "no_manifest", "func"}
@@ -62,7 +56,7 @@ def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
     """Write the manifest and ``lines`` to --out or stdout, then the plot script."""
     plot_script = getattr(args, "plot_script", None)  # compare-states and sweep only
     if plot_script and args.out is None:
-        raise CliError("--plot-script requires --out (the script references the CSV)")
+        raise ValueError("--plot-script requires --out (the script references the CSV)")
     if not args.no_manifest:
         params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                           if k not in _NOT_PARAMETERS and v is not None)
@@ -118,10 +112,10 @@ def _cmd_compare_states(args) -> int:
     ])
 
 
-def _sweep_config(args, **detection) -> SweepConfig:
+def _sweep_config(args) -> SweepConfig:
     return SweepConfig(kind=ChannelKind(args.channel), gamma=args.gamma,
                        strength_min=args.min, strength_max=args.max,
-                       grid_points=args.steps, **detection)
+                       grid_points=args.steps)
 
 
 def _cmd_sweep(args) -> int:
@@ -137,7 +131,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_zones(args) -> int:
-    cfg = _sweep_config(args, refine_tol=args.refine_tol, zero_tol=args.zero_tol)
+    cfg = _sweep_config(args)
     report = find_zones(cfg)
     doc = {
         "channel": cfg.kind.value,
@@ -157,13 +151,13 @@ def _cmd_zones(args) -> int:
 
 def _cmd_verify_spectra(args) -> int:
     if args.gamma_steps * args.steps > _MAX_CELLS:
-        raise CliError(f"--gamma-steps x --steps must be at most {_MAX_CELLS} cells, "
-                       f"got {args.gamma_steps} x {args.steps}")
+        raise ValueError(f"--gamma-steps x --steps must be at most {_MAX_CELLS} cells, "
+                         f"got {args.gamma_steps} x {args.steps}")
     kinds = [ChannelKind(args.channel)] if args.channel else list(ChannelKind)
     for kind in kinds:
         check_strength(kind, (args.min, args.max))
     if not args.min < args.max:  # rows are ordered by increasing strength
-        raise CliError(f"--min must be below --max, got {args.min} and {args.max}")
+        raise ValueError(f"--min must be below --max, got {args.min} and {args.max}")
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     strengths = np.linspace(args.min, args.max, args.steps)
     rows = [
@@ -173,7 +167,7 @@ def _cmd_verify_spectra(args) -> int:
     ]
     total = 0
     for kind in kinds:
-        records = scan_grid(kind, gammas, strengths, tol=args.tol)
+        records = scan_grid(kind, gammas, strengths)
         total += len(records)
         for r in records:
             cf = ("nan",) * 4 if r.closed_form is None else map(_fmt, r.closed_form)
@@ -224,8 +218,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=lambda t: _count(t, 2), default=DEFAULT_GRID_POINTS)
-    p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
-    p.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL)
     p.set_defaults(func=_cmd_zones)
 
     p = sub.add_parser("verify-spectra",
@@ -234,7 +226,6 @@ def build_parser() -> _Parser:
     _add_common(p, channel_required=False)
     p.add_argument("--gamma-steps", type=_count, default=100)
     p.add_argument("--steps", type=_count, default=100)
-    p.add_argument("--tol", type=float, default=COMPARE_TOL)
     p.set_defaults(func=_cmd_verify_spectra)
 
     return parser
@@ -245,9 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"esdscan: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (IntegrityError, FormulaDomainError) as exc:
         print(f"esdscan: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -20,7 +20,7 @@ from .states import check_gamma, mems
 # Square-root arguments driven negative by rounding are clamped at 0 down to
 # this guard; anything below it is a genuine formula-domain violation.
 SQRT_GUARD = 1e-8
-# Default elementwise tolerance when comparing closed-form vs numeric spectra.
+# Elementwise tolerance when comparing closed-form vs numeric spectra.
 COMPARE_TOL = 1e-8
 
 
@@ -180,10 +180,10 @@ def numeric_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
 
 
 def compare_spectrum(
-    kind: ChannelKind, gamma: float, strength: float, tol: float = COMPARE_TOL
+    kind: ChannelKind, gamma: float, strength: float
 ) -> DiscrepancyRecord | None:
-    """One cell of :func:`scan_grid`: its record, or None if the spectra agree within tol."""
-    records = scan_grid(kind, [gamma], [strength], tol)
+    """One cell of :func:`scan_grid`: its record, or None if the spectra agree."""
+    records = scan_grid(kind, [gamma], [strength])
     return records[0] if records else None
 
 
@@ -191,17 +191,14 @@ def scan_grid(
     kind: ChannelKind,
     gammas: np.ndarray,
     strengths: np.ndarray,
-    tol: float = COMPARE_TOL,
 ) -> list[DiscrepancyRecord]:
     """Full-grid comparison as sorted multisets, ordered by (gamma, strength).
 
-    A cell is reported when the spectra differ by more than ``tol``. Cells
+    A cell is reported when the spectra differ by more than ``COMPARE_TOL``. Cells
     where the closed form cannot be evaluated are reported with
     ``max_abs_error = inf`` so the discrepancy report stays complete instead
     of aborting the scan.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     gam = np.asarray(gammas, dtype=float)
     st = np.asarray(strengths, dtype=float)
     for name, axis in (("gammas", gam), ("strengths", st)):
@@ -214,7 +211,7 @@ def scan_grid(
     numeric = np.sort(numeric_spectrum(kind, gam[:, None], st), axis=-1)
     dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))
 
-    i, j = cells = np.nonzero(bad | (dev > tol))
+    i, j = cells = np.nonzero(bad | (dev > COMPARE_TOL))
     columns = [gam[i], st[j]] + [a[cells] for a in (dev, bad, closed, numeric)]
     return [
         DiscrepancyRecord(kind, g, s, err, None if unevaluable else tuple(c), tuple(n))

@@ -17,15 +17,14 @@ from .channels import ChannelKind, apply_product, check_strength, kraus_operator
 from .concurrence import xstate_concurrence
 from .states import check_gamma, mems
 
+ZERO_TOL = 1e-9  # entanglement is dead where the concurrence is at or below this
 # A dead interval no wider than this is a tangential zero, not a real zone:
-# a quadratic touch C = a (s - s0)^2 stays below zero_tol = 1e-9 over a band
-# of width 2 sqrt(zero_tol / a), well under 1e-3 for any curvature met here,
+# a quadratic touch C = a (s - s0)^2 stays below ZERO_TOL over a band
+# of width 2 sqrt(ZERO_TOL / a), well under 1e-3 for any curvature met here,
 # while genuine zones are at least ~0.08 wide.
 TOUCH_WIDTH = 5e-3
 
 DEFAULT_GRID_POINTS = 2001
-DEFAULT_REFINE_TOL = 1e-6
-DEFAULT_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,7 @@ class SweepConfig:
     strength_min: float = 0.0
     strength_max: float = 1.0
     grid_points: int = DEFAULT_GRID_POINTS
-    refine_tol: float = DEFAULT_REFINE_TOL
-    zero_tol: float = DEFAULT_ZERO_TOL
+    refine_tol: float = 1e-6
 
     def __post_init__(self):
         check_gamma(self.gamma)
@@ -49,10 +47,9 @@ class SweepConfig:
             raise ValueError(f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        for name in ("refine_tol", "zero_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 < self.refine_tol < math.inf:
+            raise ValueError(
+                f"refine_tol must be finite and positive, got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def sample_curve(cfg: SweepConfig) -> ConcurrenceCurve:
 
 
 def find_zones(cfg: SweepConfig) -> ZoneReport:
-    """Detect maximal intervals with concurrence <= zero_tol, refined by bisection.
+    """Detect maximal intervals with concurrence <= ZERO_TOL, refined by bisection.
 
     All alive/dead edges of the grid are bisected together, one evaluation per
     step; each edge stops at ``refine_tol`` or when no float is left between
@@ -103,7 +100,7 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     """
     curve = sample_curve(cfg)
     xs = curve.strengths
-    step = np.diff((curve.concurrences <= cfg.zero_tol).astype(int), prepend=0, append=0)
+    step = np.diff((curve.concurrences <= ZERO_TOL).astype(int), prepend=0, append=0)
     first, last = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1  # dead runs
     dies, revives = first[first > 0], last[last < len(xs) - 1]  # runs with a bisected edge
     lo = np.concatenate([xs[dies - 1], xs[revives + 1]])  # alive ends
@@ -113,7 +110,7 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
         todo = (np.abs(hi - lo) > cfg.refine_tol) & (mid != lo) & (mid != hi)
         if not todo.any():
             break
-        gone = _concurrence_at(cfg, mid[todo]) <= cfg.zero_tol
+        gone = _concurrence_at(cfg, mid[todo]) <= ZERO_TOL
         hi[todo] = np.where(gone, mid[todo], hi[todo])
         lo[todo] = np.where(gone, lo[todo], mid[todo])
 

@@ -10,6 +10,8 @@ reordering a floating-point sum moves digits that are only rounding noise.
 After an intended output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose current output fails this comparison.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -89,14 +92,32 @@ def _fields_match(got: str, want: str) -> bool:
     return abs(a - b) <= max(ABS_SLACK, unit * (1 + 1e-9))
 
 
-def _assert_csv_matches(got: str, want: str) -> None:
+def _mismatch(name: str, got: str, want: str) -> str | None:
+    """Why ``got`` fails the comparison with golden file ``name``, or None if it passes.
+
+    CSV files compare field by field within the numeric slack, others byte for byte.
+    """
+    if not name.endswith(".csv"):
+        return None if got == want else f"{got!r} != {want!r}"
     got_lines, want_lines = got.split("\n"), want.split("\n")
-    assert len(got_lines) == len(want_lines)
+    if len(got_lines) != len(want_lines):
+        return f"{len(got_lines)} lines, expected {len(want_lines)}"
     for n, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
         gf, wf = g.split(","), w.split(",")
-        assert len(gf) == len(wf), f"line {n}: {g!r} != {w!r}"
+        if len(gf) != len(wf):
+            return f"line {n}: {g!r} != {w!r}"
         bad = [(x, y) for x, y in zip(gf, wf) if not _fields_match(x, y)]
-        assert not bad, f"line {n}: fields {bad} outside the golden tolerance"
+        if bad:
+            return f"line {n}: fields {bad} outside the golden tolerance"
+    return None
+
+
+def _texts(name: str, out: str, err: str) -> dict[str, str]:
+    """Golden file name -> the text it must match, for one command's output."""
+    texts = {name: out}
+    if name == "verify_spectra.csv":
+        texts["verify_spectra.stderr"] = err
+    return texts
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
@@ -104,13 +125,8 @@ def test_cli_output_matches_golden(name):
     argv, expected_code = OUTPUTS[name]
     code, out, err = _run(argv)
     assert code == expected_code
-    want = (GOLDEN / name).read_text(encoding="utf-8")
-    if name.endswith(".json"):
-        assert out == want
-    else:
-        _assert_csv_matches(out, want)
-    if name == "verify_spectra.csv":
-        assert err == (GOLDEN / "verify_spectra.stderr").read_text(encoding="utf-8")
+    for file, text in _texts(name, out, err).items():
+        assert _mismatch(file, text, (GOLDEN / file).read_text(encoding="utf-8")) is None
 
 
 def test_numeric_fields_tolerance():
@@ -123,17 +139,30 @@ def test_numeric_fields_tolerance():
     assert not _fields_match("bitflip", "phaseflip")
 
 
-def regenerate() -> None:
+def regenerate(golden: Path = GOLDEN) -> int:
+    """Rewrite each golden file the current output fails to match; return how many."""
+    written = 0
     for name, (argv, expected_code) in OUTPUTS.items():
         code, out, err = _run(argv)
         if code != expected_code:
             raise SystemExit(f"{' '.join(argv)} exited {code}, expected {expected_code}")
-        path = GOLDEN / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(out, encoding="utf-8")
-        if name == "verify_spectra.csv":
-            (GOLDEN / "verify_spectra.stderr").write_text(err, encoding="utf-8")
-    print(f"wrote {len(OUTPUTS) + 1} files under {GOLDEN}", file=sys.stderr)
+        for file, text in _texts(name, out, err).items():
+            path = golden / file
+            if path.exists() and _mismatch(file, text, path.read_text(encoding="utf-8")) is None:
+                continue  # rounding noise the test accepts is not a change
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            written += 1
+    print(f"wrote {written} of {len(OUTPUTS) + 1} files under {golden}", file=sys.stderr)
+    return written
+
+
+def test_regenerate_keeps_matching_files(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    before = {p: p.read_bytes() for p in golden.rglob("*") if p.is_file()}
+    assert regenerate(golden) == 0
+    assert {p: p.read_bytes() for p in golden.rglob("*") if p.is_file()} == before
 
 
 if __name__ == "__main__":

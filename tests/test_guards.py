@@ -13,6 +13,7 @@ from esdscan.channels import (
     apply_product_channel,
     check_completeness,
     check_strength,
+    kraus_operators,
     kraus_set,
 )
 from esdscan.concurrence import concurrence, spin_flip, wootters_spectrum, xstate_concurrence
@@ -164,6 +165,16 @@ REJECTIONS = [
                          (np.zeros((0, 2, 2)), "empty"))],
     _case(check_completeness, np.full((3, 3), NAN), ValueError, NONFINITE_OPS,
           id="completeness-nan-wrong-shape"),
+    # ... and the state and operator stacks must broadcast against each other
+    _case(lambda g: apply_product(mems(g), kraus_operators(FLIP, [0.1, 0.2])),
+          [0.1, 0.2, 0.3], ValueError,
+          "state stack (3,) and operator stack (2,) do not broadcast",
+          id="apply-product-stacks"),
+    # kraus_set takes one strength; a stack goes to kraus_operators
+    *[_case(lambda s: kraus_set(FLIP, s), s, ValueError,
+            f"strength must be a scalar, got shape {np.shape(s)} "
+            "(kraus_operators takes a stack of strengths)", id=f"kraus-set-{label}")
+      for s, label in ((np.array([0.1, 0.2]), "array"), ([0.1], "list"))],
     # spectra: the closed-form concurrence accepts finite eigenvalues only
     *[_case(concurrence_from_spectrum, lam, ValueError,
             "spectrum contains non-finite entries", id=f"spectrum-{lam[0]}")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from esdscan.channels import ChannelKind
-from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum
+from esdscan.spectra import (closed_form_spectrum, compare_spectrum,
+                             concurrence_from_spectrum, scan_grid)
 from esdscan.zonescan import (
+    ZERO_TOL,
     SweepConfig,
     Zone,
     _concurrence_at,
@@ -31,8 +33,13 @@ class TestConfig:
         for tol in (np.nan, np.inf):
             with pytest.raises(ValueError, match="refine_tol"):
                 cfg(ChannelKind.BIT_FLIP, 0.2, refine_tol=tol)
-            with pytest.raises(ValueError, match="zero_tol"):
-                cfg(ChannelKind.BIT_FLIP, 0.2, zero_tol=tol)
+        # the dead threshold and the spectrum tolerance are constants, not arguments
+        with pytest.raises(TypeError, match="zero_tol"):
+            cfg(ChannelKind.BIT_FLIP, 0.2, zero_tol=ZERO_TOL)
+        with pytest.raises(TypeError, match="tol"):
+            scan_grid(ChannelKind.BIT_FLIP, [0.2], [0.1], tol=1e-8)
+        with pytest.raises(TypeError, match="tol"):
+            compare_spectrum(ChannelKind.BIT_FLIP, 0.2, 0.1, tol=1e-8)
         with pytest.raises(ValueError, match="inf"):
             cfg(ChannelKind.AMPLITUDE_DAMPING, 0.4, strength_max=np.inf)
 
@@ -78,7 +85,7 @@ class TestSampleCurve:
 
 
 # endpoints computed independently during development with an explicit
-# kron-loop pipeline and 60-step bisection at zero_tol = 1e-9
+# kron-loop pipeline and 60-step bisection at ZERO_TOL = 1e-9
 FROZEN_ZONES = {
     (ChannelKind.BIT_FLIP, 0.2): (0.039293, 0.960707),
     (ChannelKind.BIT_FLIP, 0.4): (0.120646, 0.879354),
@@ -165,7 +172,7 @@ class TestFindZones:
         numeric = find_zones(c)
         closed = [Zone(*z) for z in zones_ref(
             lambda s: concurrence_from_spectrum(closed_form_spectrum(kind, gamma, s)),
-            c.strength_min, c.strength_max, c.grid_points, c.refine_tol, c.zero_tol)]
+            c.strength_min, c.strength_max, c.grid_points, c.refine_tol, ZERO_TOL)]
         assert len(numeric.zones) == len(closed)
         for zn, zc in zip(numeric.zones, closed):
             assert abs(zn.death - zc.death) <= 1e-5
@@ -203,5 +210,5 @@ def test_find_zones_matches_sequential_reference(kind, gamma, kw, route):
     c = cfg(kind, gamma, **kw)
     want = [Zone(*z) for z in zones_ref(
         lambda s: _concurrence_at(c, s), c.strength_min, c.strength_max,
-        c.grid_points, c.refine_tol, c.zero_tol)]
+        c.grid_points, c.refine_tol, ZERO_TOL)]
     assert find_zones(c).zones == want
