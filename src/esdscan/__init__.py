@@ -14,16 +14,14 @@ from .concurrence import (
     IntegrityError,
     XStructureError,
     concurrence,
-    spin_flip,
     wootters_spectrum,
     xstate_concurrence,
 )
-from .linalg import dag, kron2
+from .linalg import dag
 from .spectra import (
     DiscrepancyRecord,
     FormulaDomainError,
     closed_form_spectrum,
-    compare_spectrum,
     concurrence_from_spectrum,
     numeric_spectrum,
     scan_grid,
@@ -56,15 +54,12 @@ __all__ = [
     "IntegrityError",
     "XStructureError",
     "concurrence",
-    "spin_flip",
     "wootters_spectrum",
     "xstate_concurrence",
     "dag",
-    "kron2",
     "DiscrepancyRecord",
     "FormulaDomainError",
     "closed_form_spectrum",
-    "compare_spectrum",
     "concurrence_from_spectrum",
     "numeric_spectrum",
     "scan_grid",

@@ -33,6 +33,8 @@ class ChannelKind(enum.Enum):
 
 def check_strength(kind: ChannelKind, strength) -> np.ndarray:
     """``strength`` as a float array, if finite and inside ``kind``'s domain."""
+    if not isinstance(kind, ChannelKind):
+        raise TypeError(f"kind must be a ChannelKind, got {kind!r}")
     s = np.asarray(strength, dtype=float)
     if not np.all((s >= 0) & (s <= (1.0 if kind.is_flip else _LARGEST))):
         rule = ("strength must be finite" if not np.all(np.isfinite(s))

@@ -169,10 +169,9 @@ def _cmd_verify_spectra(args) -> int:
     for kind in kinds:
         records = scan_grid(kind, gammas, strengths)
         total += len(records)
-        for r in records:
-            cf = ("nan",) * 4 if r.closed_form is None else map(_fmt, r.closed_form)
-            rows.append(",".join((kind.value, _fmt(r.gamma), _fmt(r.strength),
-                                  _fmt(r.max_abs_error), *cf, *map(_fmt, r.numeric))))
+        row = kind.value + ",%.9g" * 11  # 9 significant digits, as _fmt
+        rows.extend(row % (r.gamma, r.strength, r.max_abs_error,
+                           *(r.closed_form or (np.nan,) * 4), *r.numeric) for r in records)
         print(f"{kind.value}: {len(records)} discrepant cells of "
               f"{len(gammas) * len(strengths)}", file=sys.stderr)
     _write(args, rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULI_Y, kron2, require_finite
+from .linalg import PAULI_Y, require_finite
 from .states import check_states
 
 # Positivity guard on the evolved state; looser than solver accuracy to absorb
@@ -13,7 +13,7 @@ NEG_TOL = 1e-8
 # Entries outside the diagonal/anti-diagonal must stay below this for X-states.
 X_TOL = 1e-12
 
-SPIN_FLIP_YY = kron2(PAULI_Y, PAULI_Y).real.astype(complex)
+SPIN_FLIP_YY = np.kron(PAULI_Y, PAULI_Y).real.astype(complex)
 # Entries off the diagonal and the anti-diagonal: zero in an X-state.
 OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
@@ -33,12 +33,6 @@ class XStructureError(ValueError):
         self.index = index
 
 
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """Time-reversed state (sy x sy) rho* (sy x sy); Hermitian whenever rho is."""
-    rho = check_states(rho)
-    return SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY
-
-
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     if np.min(w) < -NEG_TOL:
@@ -54,7 +48,7 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 
 
 def wootters_sigmas(rho: np.ndarray) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho * spin_flip(rho).
+    """Descending square roots of the eigenvalues of rho rho~, rho~ = (sy x sy) rho* (sy x sy).
 
     Computed as singular values of sqrt(rho) (sy x sy) sqrt(rho)*, which keeps
     full absolute accuracy where the direct eigenvalue route loses half its
@@ -67,7 +61,7 @@ def wootters_sigmas(rho: np.ndarray) -> np.ndarray:
 
 
 def wootters_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of rho * spin_flip(rho), shape (..., 4)."""
+    """Descending eigenvalues of rho rho~, shape (..., 4)."""
     return wootters_sigmas(rho) ** 2
 
 

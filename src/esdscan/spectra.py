@@ -1,4 +1,4 @@
-"""Closed-form eigenvalue spectra of rho_dp * spin_flip(rho_dp) and their verification.
+"""Closed-form eigenvalue spectra of rho_dp rho~_dp and their verification.
 
 The closed forms are transcribed literally from the reference expressions,
 without algebraic simplification, and are treated as claims under test: the
@@ -47,7 +47,6 @@ class DiscrepancyRecord:
     negative sqrt argument or a NaN/inf eigenvalue); ``max_abs_error`` is +inf then.
     """
 
-    kind: ChannelKind
     gamma: float
     strength: float
     max_abs_error: float
@@ -179,14 +178,6 @@ def numeric_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
     return wootters_spectrum(apply_product(mems(gamma), kraus_operators(kind, strength)))
 
 
-def compare_spectrum(
-    kind: ChannelKind, gamma: float, strength: float
-) -> DiscrepancyRecord | None:
-    """One cell of :func:`scan_grid`: its record, or None if the spectra agree."""
-    records = scan_grid(kind, [gamma], [strength])
-    return records[0] if records else None
-
-
 def scan_grid(
     kind: ChannelKind,
     gammas: np.ndarray,
@@ -205,15 +196,16 @@ def scan_grid(
         if axis.ndim != 1 or not axis.size:
             raise ValueError(f"{name} must be 1-D and non-empty, got shape {axis.shape}")
 
+    # first: its callees check gamma, kind and strength before any formula runs
+    numeric = np.sort(numeric_spectrum(kind, gam[:, None], st), axis=-1)
     lam, badness = _raw_lambdas(kind, gam[:, None], st)
     bad = ~(badness >= -SQRT_GUARD)
     closed = np.sort(np.clip(lam, 0.0, None), axis=-1)
-    numeric = np.sort(numeric_spectrum(kind, gam[:, None], st), axis=-1)
     dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))
 
     i, j = cells = np.nonzero(bad | (dev > COMPARE_TOL))
     columns = [gam[i], st[j]] + [a[cells] for a in (dev, bad, closed, numeric)]
     return [
-        DiscrepancyRecord(kind, g, s, err, None if unevaluable else tuple(c), tuple(n))
+        DiscrepancyRecord(g, s, err, None if unevaluable else tuple(c), tuple(n))
         for g, s, err, unevaluable, c, n in zip(*(a.tolist() for a in columns))
     ]

@@ -39,6 +39,9 @@ class SweepConfig:
     refine_tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("gamma", "strength_min", "strength_max"):
+            if shape := np.shape(getattr(self, name)):
+                raise ValueError(f"{name} must be a scalar, got shape {shape}")
         check_gamma(self.gamma)
         check_strength(self.kind, (self.strength_min, self.strength_max))
         if not self.strength_min < self.strength_max:

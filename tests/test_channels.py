@@ -12,7 +12,7 @@ from esdscan.channels import (
     kraus_operators,
     kraus_set,
 )
-from esdscan.linalg import HERM_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron2
+from esdscan.linalg import HERM_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, dag
 from esdscan.states import mems, validate_density, werner
 
 from _oracles import evolve_ref, kraus_ref, mems_ref
@@ -89,7 +89,7 @@ def test_identity_channels_leave_state_alone():
 def test_full_bit_flip_is_xx_sandwich():
     rho = mems(0.42)
     out = apply_product_channel(rho, kraus_set(ChannelKind.BIT_FLIP, 0.0))
-    xx = kron2(PAULI_X, PAULI_X)
+    xx = np.kron(PAULI_X, PAULI_X)
     assert np.max(np.abs(out - xx @ rho @ xx)) < 1e-14
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from esdscan import __version__
 from esdscan.cli import main
-from esdscan.spectra import compare_spectrum
+from esdscan.spectra import scan_grid
 from esdscan.channels import ChannelKind
 
 
@@ -215,9 +215,8 @@ def test_verify_spectra_reports_and_exit_code(tmp_path, capsys):
         if row["cf_lambda1"] == "nan":
             assert float(row["max_abs_error"]) == float("inf")
             continue
-        rec = compare_spectrum(
-            ChannelKind(row["channel"]), float(row["gamma"]), float(row["strength"]))
-        assert rec is not None
+        [rec] = scan_grid(
+            ChannelKind(row["channel"]), [float(row["gamma"])], [float(row["strength"])])
         assert rec.max_abs_error == pytest.approx(
             float(row["max_abs_error"]), rel=1e-6
         )

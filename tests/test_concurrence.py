@@ -6,13 +6,12 @@ from esdscan.concurrence import (
     IntegrityError,
     XStructureError,
     concurrence,
-    spin_flip,
     wootters_spectrum,
     xstate_concurrence,
 )
 from esdscan.states import mems, werner
 
-from _oracles import concurrence_eig_route, xblock_concurrence
+from _oracles import SPIN_FLIP_YY, concurrence_eig_route, xblock_concurrence
 
 
 def bell():
@@ -29,29 +28,6 @@ def single_qubit_unitary(theta, phi, lam):
         ],
         dtype=complex,
     )
-
-
-class TestSpinFlip:
-    def test_bell_state_invariant(self):
-        rho = bell()
-        assert np.max(np.abs(spin_flip(rho) - rho)) < 1e-15
-
-    def test_diagonal_reversal(self):
-        rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-        assert np.allclose(spin_flip(rho), np.diag([0.4, 0.3, 0.2, 0.1]))
-
-    def test_mems_flip_layout(self):
-        # diagonal reverses, corner coherences survive the sign pattern
-        g = 0.4
-        flipped = spin_flip(mems(g))
-        expected = np.diag([1 / 3, 0, 1 / 3, 1 / 3]).astype(complex)
-        expected[0, 3] = expected[3, 0] = g / 2
-        assert np.allclose(flipped, expected, atol=1e-15)
-
-    def test_hermiticity_preserved(self):
-        rho = werner(0.6)
-        sf = spin_flip(rho)
-        assert np.max(np.abs(sf - sf.conj().T)) < 1e-12
 
 
 class TestConcurrence:
@@ -71,7 +47,7 @@ class TestConcurrence:
         rho = werner(0.73)
         lam = wootters_spectrum(rho)
         assert np.all(np.diff(lam) <= 1e-15)
-        product = rho @ spin_flip(rho)
+        product = rho @ SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY
         assert np.sum(lam) == pytest.approx(np.trace(product).real, abs=1e-12)
 
     def test_local_unitary_invariance(self):

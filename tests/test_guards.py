@@ -16,9 +16,9 @@ from esdscan.channels import (
     kraus_operators,
     kraus_set,
 )
-from esdscan.concurrence import concurrence, spin_flip, wootters_spectrum, xstate_concurrence
+from esdscan.concurrence import concurrence, wootters_spectrum, xstate_concurrence
 from esdscan.linalg import I2
-from esdscan.spectra import concurrence_from_spectrum, scan_grid
+from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, scan_grid
 from esdscan.states import (
     DensityMatrixError,
     check_gamma,
@@ -102,6 +102,15 @@ REJECTIONS = [
     _case(_strength(DAMP), -1.0, ValueError,
           "amplitudedamping: damping exponent must be >= 0, got -1.0",
           id="amplitudedamping--1"),
+    # channel kind: a ChannelKind, not its value, checked before any formula runs
+    *[_case(call, kind, TypeError, f"kind must be a ChannelKind, got {kind!r}",
+            id=f"kind-{label}")
+      for call, kind, label in (
+          (lambda k: SweepConfig(kind=k, gamma=0.2), "bitflip", "sweep-config"),
+          (lambda k: kraus_operators(k, 0.2), "bitflip", "kraus-operators"),
+          (lambda k: kraus_set(k, 0.2), 1, "kraus-set"),
+          (lambda k: closed_form_spectrum(k, 0.2, 0.1), "bitflip", "closed-form"),
+          (lambda k: scan_grid(k, [0.2], [0.1]), "bitflip", "scan-grid"))],
     # density matrices: non-finite wins over shape, shape over the invariants,
     # then hermiticity, trace and positivity in that order
     _case(validate_density, _state([((0, 1), NAN)]), ValueError, NONFINITE_STATE,
@@ -134,7 +143,7 @@ REJECTIONS = [
           "positivity violation: deviation 5.000e-01", 0.5, id="density-positivity"),
     # every other function that takes a state checks its stack as validate_density does
     *[_case(f, m, ValueError, message, id=f"{f.__name__}-{label}")
-      for f in (concurrence, wootters_spectrum, xstate_concurrence, spin_flip, _apply_product)
+      for f in (concurrence, wootters_spectrum, xstate_concurrence, _apply_product)
       for m, message, label in (
           (np.eye(3) / 3, "expected (..., 4, 4), got shape (3, 3)", "shape"),
           (np.zeros((0, 4, 4)),
@@ -199,12 +208,20 @@ REJECTIONS = [
     *[_case(_grid_points, n, ValueError, f"grid_points must be an integer, got {n!r}",
             id=f"grid-points-{n}") for n in (2.5, True, "11")],
     _case(_grid_points, 1, ValueError, "grid_points must be >= 2", id="grid-points-1"),
+    # a sweep has one gamma and one strength interval
+    *[_case(lambda kw: SweepConfig(kind=FLIP, **{"gamma": 0.2, **kw}), kw, ValueError,
+            f"{name} must be a scalar, got shape {np.shape(value)}", id=f"sweep-{label}")
+      for kw, label in (({"gamma": [0.2, 0.3]}, "gamma-list"),
+                        ({"gamma": np.array([0.2])}, "gamma-array"),
+                        ({"strength_min": np.array([0.0, 0.1])}, "strength-min-array"),
+                        ({"strength_max": [[1.0]]}, "strength-max-2-D"))
+      for name, value in kw.items()],
 ]
 
 
 @pytest.mark.parametrize("call, arg, exc, message, deviation", REJECTIONS)
 def test_guard_rejections(call, arg, exc, message, deviation):
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(exc) as err:
         call(arg)
     assert type(err.value) is exc
     assert str(err.value) == message

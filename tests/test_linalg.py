@@ -4,10 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from esdscan.linalg import I2, I4, PAULI_X, PAULI_Y, dag, kron2
+from esdscan.linalg import dag
 
-from _oracles import EIG_TOL, SolverError, charpoly4, durand_kerner, eig4
+from _oracles import EIG_TOL, SPIN_FLIP_YY, SolverError, charpoly4, durand_kerner, eig4
 
+I4 = np.eye(4, dtype=complex)
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 
 
@@ -32,27 +33,14 @@ def test_adjoint_involution(a):
     assert np.array_equal(dag(dag(a)), a)
 
 
-def test_kron2_identities():
-    assert np.allclose(kron2(I2, I2), I4)
-    xx = kron2(PAULI_X, PAULI_X)
-    assert np.allclose(xx, np.fliplr(np.eye(4)))
-
-
 def test_kron2_sigma_yy_antidiagonal():
     # expanding sigma_y (x) sigma_y by hand: antidiagonal (-1, +1, +1, -1)
-    yy = kron2(PAULI_Y, PAULI_Y)
+    from esdscan.concurrence import SPIN_FLIP_YY as yy
+
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = expected[3, 0] = -1
     expected[1, 2] = expected[2, 1] = 1
     assert np.allclose(yy, expected, atol=1e-15)
-
-
-@settings(max_examples=50)
-@given(cmatrices(2), cmatrices(2), cmatrices(2), cmatrices(2))
-def test_kron2_mixed_product(a, b, c, d):
-    left = kron2(a, b) @ kron2(c, d)
-    right = kron2(a @ c, b @ d)
-    assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_eig4_diag():
@@ -66,13 +54,12 @@ def test_eig4_identity_degenerate():
 
 
 def test_eig4_mems_product():
-    # rho * spin_flip(rho) for the gamma = 0.2 mixed state has eigenvalues
+    # rho rho~ for the gamma = 0.2 mixed state has eigenvalues
     # (1/3 +- 1/10)^2 and a double zero
-    from esdscan.concurrence import spin_flip
     from esdscan.states import mems
 
     rho = mems(0.2)
-    lam = np.sort(eig4(rho @ spin_flip(rho)).real)
+    lam = np.sort(eig4(rho @ SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY).real)
     assert np.allclose(lam, [0.0, 0.0, (7 / 30) ** 2, (13 / 30) ** 2], atol=1e-9)
     assert lam == pytest.approx([0, 0, 0.054444, 0.187778], abs=1e-6)
 

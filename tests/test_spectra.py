@@ -6,7 +6,6 @@ from esdscan.spectra import (
     DiscrepancyRecord,
     FormulaDomainError,
     closed_form_spectrum,
-    compare_spectrum,
     concurrence_from_spectrum,
     numeric_spectrum,
     scan_grid,
@@ -119,31 +118,30 @@ def test_numeric_spectrum_matches_block_oracle():
 
 class TestCompare:
     def test_consistent_points_have_no_record(self):
-        assert compare_spectrum(ChannelKind.PHASE_DAMPING, 0.3, 0.7) is None
-        assert compare_spectrum(ChannelKind.BIT_FLIP, 0.2, 0.5) is None
+        assert scan_grid(ChannelKind.PHASE_DAMPING, [0.3], [0.7]) == []
+        assert scan_grid(ChannelKind.BIT_FLIP, [0.2], [0.5]) == []
         for kind in ChannelKind:
             strength = 1.0 if kind.is_flip else 0.0
-            assert compare_spectrum(kind, 0.2, strength) is None
+            assert scan_grid(kind, [0.2], [strength]) == []
 
     def test_bit_phase_flip_disagrees_where_evaluable(self):
-        rec = compare_spectrum(ChannelKind.BIT_PHASE_FLIP, 0.2, 0.5)
+        [rec] = scan_grid(ChannelKind.BIT_PHASE_FLIP, [0.2], [0.5])
         assert isinstance(rec, DiscrepancyRecord)
         assert rec.max_abs_error > 1e-3
 
     def test_depolarizing_disagrees(self):
-        rec = compare_spectrum(ChannelKind.DEPOLARIZING, 0.2, 0.5)
-        assert rec is not None and rec.max_abs_error > 1e-3
+        [rec] = scan_grid(ChannelKind.DEPOLARIZING, [0.2], [0.5])
+        assert rec.max_abs_error > 1e-3
 
     def test_unevaluable_cell_gives_inf_record(self):
-        rec = compare_spectrum(ChannelKind.BIT_PHASE_FLIP, 0.2, 0.1)
-        assert rec is not None and rec.closed_form is None
+        [rec] = scan_grid(ChannelKind.BIT_PHASE_FLIP, [0.2], [0.1])
+        assert rec.closed_form is None
         assert rec.max_abs_error == np.inf
 
     def test_above_branch_point_disagrees(self):
         # (p = 0.5 is excluded: there the evolved state is weight-independent
         # and every closed form coincidentally agrees)
-        rec = compare_spectrum(ChannelKind.BIT_FLIP, 0.9, 0.3)
-        assert rec is not None
+        assert len(scan_grid(ChannelKind.BIT_FLIP, [0.9], [0.3])) == 1
 
 
 def test_bit_phase_flip_formula_domain_error():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from esdscan.channels import ChannelKind
-from esdscan.spectra import (closed_form_spectrum, compare_spectrum,
-                             concurrence_from_spectrum, scan_grid)
+from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, scan_grid
 from esdscan.zonescan import (
     ZERO_TOL,
     SweepConfig,
@@ -38,8 +37,6 @@ class TestConfig:
             cfg(ChannelKind.BIT_FLIP, 0.2, zero_tol=ZERO_TOL)
         with pytest.raises(TypeError, match="tol"):
             scan_grid(ChannelKind.BIT_FLIP, [0.2], [0.1], tol=1e-8)
-        with pytest.raises(TypeError, match="tol"):
-            compare_spectrum(ChannelKind.BIT_FLIP, 0.2, 0.1, tol=1e-8)
         with pytest.raises(ValueError, match="inf"):
             cfg(ChannelKind.AMPLITUDE_DAMPING, 0.4, strength_max=np.inf)
 
