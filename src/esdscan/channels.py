@@ -36,8 +36,8 @@ def check_strength(kind: ChannelKind, strength) -> np.ndarray:
     if not isinstance(kind, ChannelKind):
         raise TypeError(f"kind must be a ChannelKind, got {kind!r}")
     s = np.asarray(strength, dtype=float)
-    if not np.all((s >= 0) & (s <= (1.0 if kind.is_flip else _LARGEST))):
-        rule = ("strength must be finite" if not np.all(np.isfinite(s))
+    if not ((s >= 0) & (s <= (1.0 if kind.is_flip else _LARGEST))).all():
+        rule = ("strength must be finite" if not np.isfinite(s).all()
                 else "p must lie in [0, 1]" if kind.is_flip
                 else "damping exponent must be >= 0")
         raise ValueError(f"{kind.value}: {rule}, got {strength}")
@@ -105,7 +105,7 @@ def check_completeness(operators: np.ndarray) -> float:
     """Max entrywise deviation of sum_i E_i^dag E_i from I; NaN/inf entries raise."""
     ops = check_operators(operators)
     total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-    dev = float(np.max(np.abs(total - I2)))
+    dev = float(abs(total - I2).max())
     if not dev <= COMPLETENESS_TOL:  # NaN/inf entries fail this too
         require_finite(ops, "Kraus operators")
     return dev
@@ -127,12 +127,12 @@ def apply_product(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
                          "do not broadcast")
     sup = np.einsum("...kij,...klm->...iljm", ops, ops.conj())  # sum_k Ek x conj(Ek)
     sup = sup.reshape(*sup.shape[:-4], 4, 4)
-    return _regroup(sup @ _regroup(rho) @ np.swapaxes(sup, -1, -2))
+    return _regroup(sup @ _regroup(rho) @ sup.swapaxes(-1, -2))
 
 
 def _regroup(m: np.ndarray) -> np.ndarray:
     """Swap the middle indices of m[(a,b),(a',b')] -> m[(a,a'),(b,b')]; its own inverse."""
-    return np.swapaxes(m.reshape(*m.shape[:-2], 2, 2, 2, 2), -3, -2).reshape(*m.shape)
+    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
 
 
 def apply_product_channel(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:

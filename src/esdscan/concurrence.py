@@ -12,6 +12,8 @@ from .states import check_states
 NEG_TOL = 1e-8
 # Entries outside the diagonal/anti-diagonal must stay below this for X-states.
 X_TOL = 1e-12
+# Square-root eigenvalues below this share of a state's largest one count as zero.
+TRUNCATE_REL = 64 * np.finfo(float).eps
 
 SPIN_FLIP_YY = np.kron(PAULI_Y, PAULI_Y).real.astype(complex)
 # Entries off the diagonal and the anti-diagonal: zero in an X-state.
@@ -35,15 +37,13 @@ class XStructureError(ValueError):
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
-    if np.min(w) < -NEG_TOL:
-        raise IntegrityError(
-            f"state has eigenvalue {np.min(w):.3e}, below -{NEG_TOL}"
-        )
-    w = np.clip(w, 0.0, None)
+    lowest = w.min()
+    if lowest < -NEG_TOL:
+        raise IntegrityError(f"state has eigenvalue {lowest:.3e}, below -{NEG_TOL}")
     # rank-truncate: an exactly-zero population rounded to ~1e-17 would turn
-    # into sqrt(ulp) noise in the root and cost half the digits downstream
-    cutoff = 64 * np.finfo(float).eps * np.max(w, axis=-1, keepdims=True)
-    w = np.where(w < cutoff, 0.0, w)
+    # into sqrt(ulp) noise in the root and cost half the digits downstream;
+    # every negative eigenvalue lies below the cutoff, so none reaches the sqrt
+    w[w < TRUNCATE_REL * w.max(axis=-1, keepdims=True)] = 0.0
     return np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(w), v.conj())
 
 
@@ -71,7 +71,7 @@ def concurrence(rho: np.ndarray):
     Returns a float for a single state, an array for a stack.
     """
     s = wootters_sigmas(rho)
-    c = np.clip(s[..., 0] - s[..., 1:].sum(axis=-1), 0.0, 1.0)
+    c = (s[..., 0] - s[..., 1:].sum(axis=-1)).clip(0.0, 1.0)
     return c if c.shape else float(c)
 
 
@@ -85,26 +85,23 @@ def xstate_concurrence(rho: np.ndarray):
     below ``-NEG_TOL`` (the guard the Wootters route applies).
     """
     rho = require_finite(check_states(rho), "state")
-    off = np.abs(rho[..., OFF_X])
-    worst = float(np.max(off))
+    off = abs(rho[..., OFF_X])
+    worst = float(off.max())
     if worst > X_TOL:
-        flat = int(np.argmax(np.max(off, axis=tuple(range(rho.ndim - 2)))))
+        flat = int(off.max(axis=tuple(range(rho.ndim - 2))).argmax())
         idx = tuple(np.argwhere(OFF_X)[flat])
         raise XStructureError(worst, (int(idx[0]) + 1, int(idx[1]) + 1))
 
-    d = np.real(np.einsum("...ii->...i", rho))
-    z = np.abs(rho[..., 0, 3])
-    w = np.abs(rho[..., 1, 2])
+    # the two 2x2 blocks side by side: populations (rho_11, rho_22) against
+    # (rho_44, rho_33), coherences (rho_14, rho_23)
+    d = rho.diagonal(0, -2, -1).real
+    top, bottom = d[..., :2], d[..., :1:-1]
+    coh = abs(rho[..., ::-1].diagonal(0, -2, -1)[..., :2])
     # block eigenvalues: mean -/+ hypot(half the population gap, coherence)
-    lowest = np.minimum(
-        0.5 * (d[..., 0] + d[..., 3]) - np.hypot(0.5 * (d[..., 0] - d[..., 3]), z),
-        0.5 * (d[..., 1] + d[..., 2]) - np.hypot(0.5 * (d[..., 1] - d[..., 2]), w),
-    )
-    if np.min(lowest) < -NEG_TOL:
-        raise IntegrityError(
-            f"state has eigenvalue {np.min(lowest):.3e}, below -{NEG_TOL}"
-        )
-    inner = np.sqrt(np.maximum(d[..., 1] * d[..., 2], 0.0))
-    outer = np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))
-    c = 2.0 * np.maximum(0.0, np.maximum(z - inner, w - outer))
+    lowest = (0.5 * (top + bottom) - np.hypot(0.5 * (top - bottom), coh)).min()
+    if lowest < -NEG_TOL:
+        raise IntegrityError(f"state has eigenvalue {lowest:.3e}, below -{NEG_TOL}")
+    # each coherence against the other block's sqrt(rho_11 rho_44) or sqrt(rho_22 rho_33)
+    roots = np.sqrt(np.maximum(top * bottom, 0.0))
+    c = 2.0 * np.maximum(0.0, (coh - roots[..., ::-1]).max(axis=-1))
     return c if c.shape else float(c)

@@ -15,11 +15,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m)
-    if not np.all(np.isfinite(m.view(float) if np.iscomplexobj(m) else m)):
+    if not np.isfinite(m).all():  # a complex entry needs both parts finite
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, broadcasting over leading axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    return np.asarray(m).conj().swapaxes(-1, -2)

@@ -9,8 +9,6 @@ from .linalg import HERM_TOL, dag, require_finite
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
-MEMS_BRANCH_POINT = 2.0 / 3.0
-
 
 class DensityMatrixError(ValueError):
     """A candidate state violated a density-matrix invariant."""
@@ -24,7 +22,7 @@ class DensityMatrixError(ValueError):
 def check_gamma(gamma) -> np.ndarray:
     """``gamma`` as a float array, if every entry lies in [0, 1]."""
     g = np.asarray(gamma, dtype=float)
-    if not np.all((g >= 0) & (g <= 1)):  # NaN fails both comparisons
+    if not ((g >= 0) & (g <= 1)).all():  # NaN fails both comparisons
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     return g
 
@@ -51,14 +49,12 @@ def mems(gamma) -> np.ndarray:
     branch point and gamma/2 above; concurrence is exactly ``gamma``.
     Broadcasts: an array ``gamma`` yields (..., 4, 4).
     """
-    g = check_gamma(gamma)
-    d = np.where(g < MEMS_BRANCH_POINT, 1.0 / 3.0, g / 2.0)
-    out = np.zeros(g.shape + (4, 4), dtype=complex)
-    out[..., 0, 0] = d
+    half = check_gamma(gamma) / 2.0
+    d = np.maximum(half, 1.0 / 3.0)  # gamma/2 passes 1/3 at the branch point 2/3
+    out = np.zeros(half.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = d
     out[..., 1, 1] = 1.0 - 2.0 * d
-    out[..., 3, 3] = d
-    out[..., 0, 3] = g / 2.0
-    out[..., 3, 0] = g / 2.0
+    out[..., 0, 3] = out[..., 3, 0] = half
     return out
 
 
@@ -83,14 +79,14 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     # NaN/inf entries are looked for only once a test fails; their message wins.
     m = check_states(m, "density matrix")
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-        herm = float(np.max(np.abs(m - dag(m))))
+        herm = float(abs(m - dag(m)).max())
     if not herm <= HERM_TOL:
         require_finite(m, "density matrix")
         raise DensityMatrixError("hermiticity", herm)
-    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+    trace_dev = float(abs(m.trace(0, -2, -1) - 1.0).max())
     if not trace_dev <= TRACE_TOL:
         raise DensityMatrixError("trace", trace_dev)
-    min_eig = float(np.min(np.linalg.eigvalsh(m)))
+    min_eig = float(np.linalg.eigvalsh(m).min())
     if not min_eig >= -PSD_TOL:
         raise DensityMatrixError("positivity", -min_eig)
     return m

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from esdscan.channels import ChannelKind, apply_product, kraus_operators
+from esdscan.channels import (
+    ChannelKind,
+    apply_product,
+    apply_product_channel,
+    kraus_operators,
+    kraus_set,
+)
 from esdscan.concurrence import (
     IntegrityError,
     XStructureError,
@@ -132,3 +138,18 @@ class TestXStateOracle:
     def test_matches_block_oracle(self):
         rho = apply_product(mems(0.81), kraus_operators(ChannelKind.BIT_FLIP, 0.3))
         assert concurrence(rho) == pytest.approx(xblock_concurrence(rho), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_single_state_query_is_a_row_of_the_stacked_route(kind):
+    """One code path: a one-state query returns row i of the stacked call, bit for bit."""
+    rng = np.random.default_rng(7)
+    gammas = rng.uniform(0.0, 1.0, 40)
+    strengths = rng.uniform(0.0, 1.0 if kind.is_flip else 3.0, 40)
+    stacked = apply_product(mems(gammas), kraus_operators(kind, strengths))
+    wootters, closed_form = concurrence(stacked), xstate_concurrence(stacked)
+    for i, (g, s) in enumerate(zip(gammas.tolist(), strengths.tolist())):
+        rho = apply_product_channel(mems(g), kraus_set(kind, s))
+        assert (rho == stacked[i]).all()
+        assert concurrence(rho) == wootters[i]
+        assert xstate_concurrence(rho) == closed_form[i]

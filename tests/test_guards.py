@@ -174,6 +174,17 @@ REJECTIONS = [
                          (np.zeros((0, 2, 2)), "empty"))],
     _case(check_completeness, np.full((3, 3), NAN), ValueError, NONFINITE_OPS,
           id="completeness-nan-wrong-shape"),
+    # a non-finite imaginary part alone is non-finite, for states and operators alike
+    *[_case(f, _state([(index, value)]), ValueError, message,
+            id=f"{f.__name__}-imaginary-{label}")
+      for f, message in ((validate_density, NONFINITE_STATE),
+                         (concurrence, "state contains non-finite entries"),
+                         (xstate_concurrence, "state contains non-finite entries"))
+      for index, value, label in (((0, 1), complex(0.0, INF), "inf-off-diagonal"),
+                                  ((0, 0), complex(0.25, NAN), "nan-diagonal"))],
+    *[_case(check_completeness, _ops(value), ValueError, NONFINITE_OPS,
+            id=f"completeness-imaginary-{label}")
+      for value, label in ((complex(0.0, INF), "inf"), (complex(0.0, NAN), "nan"))],
     # ... and the state and operator stacks must broadcast against each other
     _case(lambda g: apply_product(mems(g), kraus_operators(FLIP, [0.1, 0.2])),
           [0.1, 0.2, 0.3], ValueError,
@@ -259,11 +270,15 @@ def _count_guard_calls(monkeypatch):
 
 def test_each_input_checked_once_per_query(monkeypatch):
     counts = _count_guard_calls(monkeypatch)
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, _counting(counts, name, getattr(np.linalg, name)))
     rho = apply_product_channel(mems(0.4), kraus_set(ChannelKind.AMPLITUDE_DAMPING, 0.2))
     concurrence(rho)
     xstate_concurrence(rho)
-    # gamma by mems, the strength by kraus_set, one finiteness pass per concurrence route
-    assert dict(counts) == {"check_gamma": 1, "check_strength": 1, "require_finite": 2}
+    # gamma by mems, the strength by kraus_set, one finiteness pass per concurrence route,
+    # the positivity of the input and of the evolved state, then Wootters' eigh and SVD
+    assert dict(counts) == {"check_gamma": 1, "check_strength": 1, "require_finite": 2,
+                            "eigvalsh": 2, "eigh": 1, "svd": 1}
     counts.clear()
     reference_concurrence("werner", 0.5)
     reference_concurrence("mems", 0.5)
