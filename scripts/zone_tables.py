@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 
 from esdscan.channels import ChannelKind
-from esdscan.zonescan import SweepConfig, find_zones
+from esdscan.zonescan import DEFAULT_GRID_POINTS, SweepConfig, find_zones
 
 CASES = {
     ChannelKind.BIT_FLIP: [0.2, 0.4, 0.66, 0.866, 0.9666, 1.0],
@@ -31,7 +31,7 @@ def describe(kind: ChannelKind, gamma: float, grid_points: int) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid-points", type=int, default=2001)
+    parser.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     args = parser.parse_args()
 
     width = max(len(k.value) for k in CASES)

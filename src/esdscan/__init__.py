@@ -29,7 +29,6 @@ from .spectra import (
 from .states import (
     DensityMatrixError,
     mems,
-    reference_concurrence,
     validate_density,
     werner,
     werner_concurrence_raw,
@@ -65,7 +64,6 @@ __all__ = [
     "scan_grid",
     "DensityMatrixError",
     "mems",
-    "reference_concurrence",
     "validate_density",
     "werner",
     "werner_concurrence_raw",

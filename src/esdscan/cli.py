@@ -24,7 +24,7 @@ from .channels import ChannelKind, check_strength
 from .concurrence import IntegrityError
 from .spectra import (FormulaDomainError, closed_form_spectrum,
                       concurrence_from_spectrum, scan_grid)
-from .states import reference_concurrence, werner_concurrence_raw
+from .states import werner_concurrence_raw
 from .zonescan import (
     DEFAULT_GRID_POINTS,
     SweepConfig,
@@ -36,11 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISCREPANCIES = 2
 EXIT_INTEGRITY = 3
-
-
-def _fmt(x: float) -> str:
-    """All numeric output carries 9 significant digits."""
-    return f"{x:.9g}"
+_NUMBER = "%.9g"  # every number the CLI prints carries 9 significant digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +79,8 @@ def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
 
 def _table(args, columns: list[str], series) -> int:
     """Write a CSV whose columns hold the parallel arrays in ``series``."""
-    rows = [",".join(columns)] + [",".join(map(_fmt, values)) for values in zip(*series)]
+    row = ",".join([_NUMBER] * len(columns))
+    rows = [",".join(columns)] + [row % values for values in zip(*series)]
     _write(args, rows, columns)
     return EXIT_OK
 
@@ -104,12 +101,9 @@ def _count(text: str, least: int = 1) -> int:
 
 def _cmd_compare_states(args) -> int:
     gammas = np.linspace(0.0, 1.0, args.steps)
-    return _table(args, ["gamma", "c_werner_raw", "c_werner", "c_mems"], [
-        gammas,
-        werner_concurrence_raw(gammas),
-        reference_concurrence("werner", gammas),
-        reference_concurrence("mems", gammas),
-    ])
+    raw = werner_concurrence_raw(gammas)  # the MEMS concurrence is gamma itself
+    return _table(args, ["gamma", "c_werner_raw", "c_werner", "c_mems"],
+                  [gammas, raw, np.maximum(0.0, raw), gammas])
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -135,11 +129,11 @@ def _cmd_zones(args) -> int:
     report = find_zones(cfg)
     doc = {
         "channel": cfg.kind.value,
-        "gamma": float(_fmt(cfg.gamma)),
+        "gamma": float(_NUMBER % cfg.gamma),
         "zones": [
             {
-                "death": float(_fmt(z.death)),
-                "rebirth": None if z.rebirth is None else float(_fmt(z.rebirth)),
+                "death": float(_NUMBER % z.death),
+                "rebirth": None if z.rebirth is None else float(_NUMBER % z.rebirth),
                 "touch": z.touch,
             }
             for z in report.zones
@@ -169,7 +163,7 @@ def _cmd_verify_spectra(args) -> int:
     for kind in kinds:
         records = scan_grid(kind, gammas, strengths)
         total += len(records)
-        row = kind.value + ",%.9g" * 11  # 9 significant digits, as _fmt
+        row = kind.value + f",{_NUMBER}" * 11
         rows.extend(row % (r.gamma, r.strength, r.max_abs_error,
                            *(r.closed_form or (np.nan,) * 4), *r.numeric) for r in records)
         print(f"{kind.value}: {len(records)} discrepant cells of "
@@ -241,10 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"esdscan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def entrypoint() -> None:  # console-script shim
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

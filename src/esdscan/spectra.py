@@ -109,7 +109,7 @@ def _raw_lambdas(kind: ChannelKind, g: np.ndarray, s: np.ndarray):
         l1, l2 = zero, zero
         l3 = np.exp(-4 * lt) * (2 * np.exp(2 * lt) - 3 * g) ** 2 / 36
         l4 = np.exp(-4 * lt) * (3 * g + 2 * np.exp(2 * lt)) ** 2 / 36
-    elif kind is ChannelKind.DEPOLARIZING:
+    else:  # ChannelKind.DEPOLARIZING
         lt = s
         l1 = (
             4 / 81 * g**2 * np.exp(-4 * lt)
@@ -130,8 +130,6 @@ def _raw_lambdas(kind: ChannelKind, g: np.ndarray, s: np.ndarray):
             * (np.exp(lt) * ((15 * g + 2) * np.exp(lt) - 48 * g + 8) + 60 * g + 8) ** 2
             / 2916
         )
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled channel kind {kind}")
 
     cols = np.broadcast_arrays(l1, l2, l3, l4)  # reduced over axis 0: fast
     worst = np.where(np.max(cols, axis=0) < np.inf, np.min(cols, axis=0), np.nan)

@@ -96,17 +96,3 @@ def werner_concurrence_raw(gamma):
     """Unclamped Werner expression (3*gamma - 1)/2, negative below gamma = 1/3."""
     g = check_gamma(gamma)
     return (3.0 * g - 1.0) / 2.0
-
-
-def reference_concurrence(kind: str, gamma):
-    """Closed-form concurrence of the initial states.
-
-    ``kind`` is "mems" (-> gamma) or "werner" (-> max(0, (3*gamma - 1)/2)).
-    """
-    if kind == "werner":
-        c = np.maximum(0.0, werner_concurrence_raw(gamma))
-    else:
-        c = check_gamma(gamma)  # a bad gamma is named before a bad kind
-        if kind != "mems":
-            raise ValueError(f"unknown state kind {kind!r} (expected 'mems' or 'werner')")
-    return c if c.shape else float(c)

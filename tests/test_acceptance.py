@@ -19,7 +19,7 @@ from esdscan.cli import main as cli_main
 from esdscan.concurrence import concurrence, xstate_concurrence
 from esdscan.linalg import HERM_TOL, dag
 from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, numeric_spectrum
-from esdscan.states import mems, reference_concurrence, werner
+from esdscan.states import mems, werner, werner_concurrence_raw
 from esdscan.zonescan import SweepConfig, find_zones, sample_curve
 
 from conftest import record_criterion
@@ -53,8 +53,8 @@ def test_criterion_01_reference_concurrences():
     grid = np.linspace(0, 1, 101)
     c_mems = concurrence(mems(grid))
     c_werner = concurrence(werner(grid))
-    dev_m = float(np.max(np.abs(c_mems - reference_concurrence("mems", grid))))
-    dev_w = float(np.max(np.abs(c_werner - reference_concurrence("werner", grid))))
+    dev_m = float(np.max(np.abs(c_mems - grid)))
+    dev_w = float(np.max(np.abs(c_werner - np.maximum(0.0, werner_concurrence_raw(grid)))))
     if dev_m > 1e-9:
         failures.append(f"mems deviation {dev_m:.2e}")
     if dev_w > 1e-9:

@@ -36,9 +36,11 @@ def test_compare_states_schema_and_clamp(tmp_path):
     assert list(rows[0]) == ["gamma", "c_werner_raw", "c_werner", "c_mems"]
     assert len(rows) == 101
     for row in rows:
+        # the closed forms exactly: C = gamma for the MEMS, max(0, raw) for Werner
+        assert row["c_mems"] == row["gamma"]
         raw = float(row["c_werner_raw"])
         clamped = float(row["c_werner"])
-        assert clamped == pytest.approx(max(0.0, raw), abs=1e-9)
+        assert clamped == max(0.0, raw)
         assert float(row["c_mems"]) - clamped >= -1e-12
     # raw expression is negative below the entanglement threshold
     assert float(rows[0]["c_werner_raw"]) == pytest.approx(-0.5)

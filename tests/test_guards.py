@@ -23,8 +23,8 @@ from esdscan.states import (
     DensityMatrixError,
     check_gamma,
     mems,
-    reference_concurrence,
     validate_density,
+    werner_concurrence_raw,
 )
 from esdscan.zonescan import SweepConfig, find_zones
 
@@ -69,10 +69,6 @@ def _strength(kind):
     return lambda s: check_strength(kind, s)
 
 
-def _reference(kind):
-    return lambda g: reference_concurrence(kind, g)
-
-
 def _grid_points(n):
     return SweepConfig(kind=FLIP, gamma=0.2, grid_points=n)
 
@@ -86,11 +82,9 @@ REJECTIONS = [
     *[_case(f, g, ValueError, f"gamma must lie in [0, 1], got {g}", id=f"{f.__name__}-{g}")
       for f in (check_gamma, mems)
       for g in (NAN, INF, -INF, -0.1, 1.1, [0.5, NAN], [0.2, 1.1, 0.4])],
-    # initial-state concurrence: the gamma message wins over the kind message
-    *[_case(_reference(kind), 1.5, ValueError, "gamma must lie in [0, 1], got 1.5",
-            id=f"reference-{kind}-1.5") for kind in ("werner", "ghz")],
-    _case(_reference("ghz"), 0.5, ValueError,
-          "unknown state kind 'ghz' (expected 'mems' or 'werner')", id="reference-ghz"),
+    # initial-state concurrence
+    _case(werner_concurrence_raw, 1.5, ValueError, "gamma must lie in [0, 1], got 1.5",
+          id="reference-werner-1.5"),
     # strength: the non-finite message wins over the domain message
     *[_case(_strength(kind), s, ValueError,
             f"{kind.value}: strength must be finite, got {s}", id=f"{kind.value}-{s}")
@@ -280,9 +274,8 @@ def test_each_input_checked_once_per_query(monkeypatch):
     assert dict(counts) == {"check_gamma": 1, "check_strength": 1, "require_finite": 2,
                             "eigvalsh": 2, "eigh": 1, "svd": 1}
     counts.clear()
-    reference_concurrence("werner", 0.5)
-    reference_concurrence("mems", 0.5)
-    assert dict(counts) == {"check_gamma": 2}
+    werner_concurrence_raw(0.5)
+    assert dict(counts) == {"check_gamma": 1}
 
 
 def test_find_zones_checks_gamma_once_per_evaluation(monkeypatch):

@@ -7,7 +7,6 @@ from esdscan.concurrence import concurrence
 from esdscan.states import (
     DensityMatrixError,
     mems,
-    reference_concurrence,
     validate_density,
     werner,
     werner_concurrence_raw,
@@ -79,20 +78,18 @@ def test_validate_density_hermiticity_violation():
 
 
 def test_reference_concurrence_values():
-    assert reference_concurrence("mems", 0.2) == pytest.approx(0.2)
-    assert reference_concurrence("werner", 0.5) == pytest.approx(0.25)
-    assert reference_concurrence("werner", 0.2) == 0.0
+    assert concurrence(mems(0.2)) == pytest.approx(0.2)
+    assert max(0.0, werner_concurrence_raw(0.5)) == pytest.approx(0.25)
+    assert max(0.0, werner_concurrence_raw(0.2)) == 0.0
     assert werner_concurrence_raw(0.2) == pytest.approx(-0.2)
-    with pytest.raises(ValueError):
-        reference_concurrence("ghz", 0.5)
 
 
 def test_reference_matches_computed_on_grid():
     grid = np.linspace(0, 1, 101)
     c_mems = concurrence(mems(grid))
     c_werner = concurrence(werner(grid))
-    assert np.max(np.abs(c_mems - reference_concurrence("mems", grid))) < 1e-9
-    assert np.max(np.abs(c_werner - reference_concurrence("werner", grid))) < 1e-9
+    assert np.max(np.abs(c_mems - grid)) < 1e-9
+    assert np.max(np.abs(c_werner - np.maximum(0.0, werner_concurrence_raw(grid)))) < 1e-9
     # the mixed-state family is always at least as entangled as Werner
     assert np.all(c_mems - c_werner >= -1e-12)
 
