@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 argument/domain error, 2 spectrum discrepancies found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -184,6 +185,7 @@ def _add_common(p: _Parser, *, channel_required: bool = True) -> None:
                    help="omit the '#' header (for byte-identical reruns)")
 
 
+@functools.cache  # parse_args keeps nothing on the parser: one per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="esdscan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esdscan.channels import (
@@ -125,13 +125,18 @@ def test_agrees_with_reference_evolution(kind):
             assert np.max(np.abs(ours - ref)) < 1e-14
 
 
+def complex_kraus_sets(rng, n, stack=()):
+    """Random complete complex Kraus sets of n operators, shape stack + (n, 2, 2)."""
+    a = rng.normal(size=stack + (2 * n, 2)) + 1j * rng.normal(size=stack + (2 * n, 2))
+    return np.linalg.qr(a)[0].reshape(stack + (n, 2, 2))
+
+
 def test_agrees_with_reference_on_complex_kraus_sets():
     # every built-in Kraus set is real up to phases, which hides a swapped
     # ket/bra slot; a random complex channel does not
     rng = np.random.default_rng(3)
     for n in (1, 3):
-        a = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
-        ops = np.linalg.qr(a)[0].reshape(n, 2, 2)
+        ops = complex_kraus_sets(rng, n)
         assert check_completeness(ops) <= COMPLETENESS_TOL
         for rho in random_density(rng, (3,)):
             ours = apply_product(rho, ops)
@@ -151,6 +156,21 @@ def test_broadcasts_states_against_operators(kind):
         assert np.max(np.abs(out - evolve_ref(rho, kraus_ref(kind.value, s)))) < 1e-14
     for s, out in zip(strengths, fanned):
         assert np.max(np.abs(out - evolve_ref(single, kraus_ref(kind.value, s)))) < 1e-14
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + ["complex"])
+def test_single_state_route_is_the_stacked_route_bit_for_bit(kind):
+    # a single state takes one (N*4, 4) @ (4, 4) GEMM for S R; copies of it
+    # stacked to the operators' shape take the batched route
+    rng = np.random.default_rng(17)
+    single = random_density(rng)
+    for stack in ((1,), (7,), (2001,), (3, 5)):
+        if kind == "complex":
+            ops = complex_kraus_sets(rng, 3, stack)
+        else:
+            ops = kraus_operators(kind, rng.uniform(0.0, 1.0, stack))
+        stacked = np.broadcast_to(single, stack + (4, 4)).copy()
+        assert _same_bits(apply_product(single, ops), apply_product(stacked, ops))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -177,13 +197,51 @@ def test_evolution_preserves_x_structure(kind):
     assert np.max(np.abs(rho[..., mask])) < 1e-13
 
 
-def test_phase_damping_semigroup():
-    rho = mems(0.55)
-    a, b = 0.35, 0.9
-    step1 = apply_product(rho, kraus_operators(ChannelKind.PHASE_DAMPING, a))
-    step2 = apply_product(step1, kraus_operators(ChannelKind.PHASE_DAMPING, b))
-    joint = apply_product(rho, kraus_operators(ChannelKind.PHASE_DAMPING, a + b))
-    assert np.max(np.abs(step2 - joint)) < 1e-12
+COMPOSE_TOL = 1e-14
+# single states take the one-GEMM branch, a stack of three the batched one
+COMPOSE_STATES = [mems(0.55), random_density(np.random.default_rng(23)),
+                  random_density(np.random.default_rng(29), (3,))]
+
+
+def _composes(kind, first, second, joint):
+    for rho in COMPOSE_STATES:
+        twice = apply_product(apply_product(rho, kraus_operators(kind, first)),
+                              kraus_operators(kind, second))
+        once = apply_product(rho, kraus_operators(kind, joint))
+        assert np.max(np.abs(twice - once)) < COMPOSE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([k for k in ALL_KINDS if k.is_flip]),
+       p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+def test_flip_channels_compose(kind, p1, p2):
+    _composes(kind, p1, p2, p1 * p2 + (1 - p1) * (1 - p2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([ChannelKind.AMPLITUDE_DAMPING, ChannelKind.PHASE_DAMPING]),
+       a=st.floats(0.0, 20.0), b=st.floats(0.0, 20.0))
+@example(kind=ChannelKind.PHASE_DAMPING, a=0.35, b=0.9)
+def test_damping_channels_are_semigroups(kind, a, b):
+    _composes(kind, a, b, a + b)
+
+
+def test_depolarizing_overshoots_past_ln4():
+    # each qubit's Bloch vector shrinks by (4 eta - 1)/3, which is 0 at lt = ln 4
+    # and negative beyond, so the corner of mems(1) is ((4 eta - 1)/3)^2 / 2
+    def corner(*lts):
+        rho = mems(1.0)
+        for lt in lts:
+            rho = apply_product(rho, kraus_operators(ChannelKind.DEPOLARIZING, lt))
+        return rho[0, 3]
+
+    for lt in (0.3, np.log(4), 2.0, 20.0):
+        assert abs(corner(lt) - ((4 * np.exp(-lt) - 1) / 3) ** 2 / 2) < 1e-15
+    assert abs(corner(np.log(4))) < 1e-15
+    assert abs(corner(20.0) - 1 / 18) < 1e-8  # 1/18 - 4 eta / 9 to first order, eta = 2e-9
+    # not a semigroup: two steps of ln 4 do not make one step of 2 ln 4
+    assert abs(corner(np.log(4), np.log(4))) < 1e-15
+    assert abs(corner(2 * np.log(4)) - 1 / 32) < 1e-15
 
 
 @settings(max_examples=60)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from esdscan import __version__
-from esdscan.cli import main
+from esdscan.cli import build_parser, main
 from esdscan.spectra import scan_grid
 from esdscan.channels import ChannelKind
 
@@ -105,6 +105,36 @@ def test_repeat_runs_byte_identical(tmp_path):
             "--steps", "51", "--out", str(out), "--no-manifest")
         pairs.append(out.read_bytes())
     assert pairs[0] == pairs[1]
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # main reuses one parser per process; every argv must read the same
+    # whatever ran before it
+    assert build_parser() is build_parser()
+    sweep = ["sweep", "--channel", "bitflip", "--gamma", "0.4", "--steps", "5", "--no-manifest"]
+    zones = ["zones", "--channel", "bitflip", "--gamma", "0.4", "--no-manifest"]
+    sequence = [
+        ["zones", "--channel", "nope", "--gamma", "0.2"],
+        [*sweep, "--engine", "closedform"],
+        sweep,
+        ["verify-spectra", "--gamma-steps", "3", "--steps", "3", "--no-manifest"],
+        zones,
+        ["compare-states", "--steps", "3", "--no-manifest"],
+    ]
+
+    def outputs(argvs):
+        seen = {}
+        for argv in argvs:
+            code = main(list(argv))
+            seen[" ".join(argv)] = (code, *capsys.readouterr())
+        return seen
+
+    capsys.readouterr()
+    forward = outputs(sequence)
+    assert forward == outputs(sequence[::-1])
+    assert forward["zones --channel nope --gamma 0.2"][0] == 1
+    assert forward[" ".join(sweep)][1].splitlines()[0] == "strength,concurrence_numeric"
+    assert forward[" ".join(zones)] == outputs([[*zones, "--steps", "2001"]]).popitem()[1]
 
 
 def test_plot_script_references_csv(tmp_path):
