@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 
 from esdscan.channels import ChannelKind
+from esdscan.cli import _count
 from esdscan.zonescan import DEFAULT_GRID_POINTS, SweepConfig, find_zones
 
 CASES = {
@@ -31,7 +32,8 @@ def describe(kind: ChannelKind, gamma: float, grid_points: int) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    parser.add_argument("--grid-points", type=lambda t: _count(t, 2),
+                        default=DEFAULT_GRID_POINTS)
     args = parser.parse_args()
 
     width = max(len(k.value) for k in CASES)

@@ -19,7 +19,6 @@ from .concurrence import (
 )
 from .linalg import dag
 from .spectra import (
-    DiscrepancyRecord,
     FormulaDomainError,
     closed_form_spectrum,
     concurrence_from_spectrum,
@@ -34,7 +33,6 @@ from .states import (
     werner_concurrence_raw,
 )
 from .zonescan import (
-    ConcurrenceCurve,
     SweepConfig,
     Zone,
     ZoneReport,
@@ -56,7 +54,6 @@ __all__ = [
     "wootters_spectrum",
     "xstate_concurrence",
     "dag",
-    "DiscrepancyRecord",
     "FormulaDomainError",
     "closed_form_spectrum",
     "concurrence_from_spectrum",
@@ -67,7 +64,6 @@ __all__ = [
     "validate_density",
     "werner",
     "werner_concurrence_raw",
-    "ConcurrenceCurve",
     "SweepConfig",
     "Zone",
     "ZoneReport",

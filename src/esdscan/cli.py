@@ -115,13 +115,13 @@ def _sweep_config(args) -> SweepConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    curve = sample_curve(cfg)
+    strengths, concurrences = sample_curve(cfg)
     columns = ["strength", "concurrence_numeric"]
-    series = [curve.strengths, curve.concurrences]
+    series = [strengths, concurrences]
     if args.engine == "closedform":
         columns.append("concurrence_closed_form")
         series.append(concurrence_from_spectrum(
-            closed_form_spectrum(cfg.kind, cfg.gamma, curve.strengths)))
+            closed_form_spectrum(cfg.kind, cfg.gamma, strengths)))
     return _table(args, columns, series)
 
 
@@ -165,8 +165,7 @@ def _cmd_verify_spectra(args) -> int:
         records = scan_grid(kind, gammas, strengths)
         total += len(records)
         row = kind.value + f",{_NUMBER}" * 11
-        rows.extend(row % (r.gamma, r.strength, r.max_abs_error,
-                           *(r.closed_form or (np.nan,) * 4), *r.numeric) for r in records)
+        rows.extend(row % tuple(r) for r in records.tolist())
         print(f"{kind.value}: {len(records)} discrepant cells of "
               f"{len(gammas) * len(strengths)}", file=sys.stderr)
     _write(args, rows)

@@ -8,8 +8,6 @@ and every disagreement is reported, never patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import ChannelKind, apply_product, check_strength, kraus_operators
@@ -37,21 +35,6 @@ class FormulaDomainError(ValueError):
         self.gamma = gamma
         self.strength = strength
         self.arg = arg
-
-
-@dataclass(frozen=True)
-class DiscrepancyRecord:
-    """One grid cell where closed form and numeric spectra disagree.
-
-    ``closed_form`` is None when the formula could not be evaluated there (a
-    negative sqrt argument or a NaN/inf eigenvalue); ``max_abs_error`` is +inf then.
-    """
-
-    gamma: float
-    strength: float
-    max_abs_error: float
-    closed_form: tuple[float, float, float, float] | None
-    numeric: tuple[float, float, float, float]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -176,17 +159,15 @@ def numeric_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
     return wootters_spectrum(apply_product(mems(gamma), kraus_operators(kind, strength)))
 
 
-def scan_grid(
-    kind: ChannelKind,
-    gammas: np.ndarray,
-    strengths: np.ndarray,
-) -> list[DiscrepancyRecord]:
-    """Full-grid comparison as sorted multisets, ordered by (gamma, strength).
+def scan_grid(kind: ChannelKind, gammas: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """Full-grid comparison as sorted multisets: one row per discrepant cell.
 
-    A cell is reported when the spectra differ by more than ``COMPARE_TOL``. Cells
-    where the closed form cannot be evaluated are reported with
-    ``max_abs_error = inf`` so the discrepancy report stays complete instead
-    of aborting the scan.
+    A cell is reported when the spectra differ by more than ``COMPARE_TOL``.
+    Rows are ordered by (gamma, strength) and hold 11 columns: gamma, strength,
+    max_abs_error, then the closed-form and the numeric eigenvalues, four each
+    in ascending order. Cells where the closed form cannot be evaluated are reported
+    with ``max_abs_error = inf`` and NaN closed-form columns, so the report stays
+    complete instead of aborting the scan. Shape (0, 11) when every cell agrees.
     """
     gam = np.asarray(gammas, dtype=float)
     st = np.asarray(strengths, dtype=float)
@@ -200,10 +181,7 @@ def scan_grid(
     bad = ~(badness >= -SQRT_GUARD)
     closed = np.sort(np.clip(lam, 0.0, None), axis=-1)
     dev = np.where(bad, np.inf, np.max(np.abs(closed - numeric), axis=-1))
+    closed[bad] = np.nan
 
     i, j = cells = np.nonzero(bad | (dev > COMPARE_TOL))
-    columns = [gam[i], st[j]] + [a[cells] for a in (dev, bad, closed, numeric)]
-    return [
-        DiscrepancyRecord(g, s, err, None if unevaluable else tuple(c), tuple(n))
-        for g, s, err, unevaluable, c, n in zip(*(a.tolist() for a in columns))
-    ]
+    return np.column_stack([gam[i], st[j], dev[cells], closed[cells], numeric[cells]])

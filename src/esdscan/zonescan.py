@@ -29,7 +29,7 @@ DEFAULT_GRID_POINTS = 2001
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One concurrence sweep: channel, state parameter, grid and detection knobs."""
+    """One concurrence sweep: channel, gamma, strength grid and bisection tolerance."""
 
     kind: ChannelKind
     gamma: float
@@ -56,14 +56,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class ConcurrenceCurve:
-    """Sampled concurrence against channel strength, strictly increasing in strength."""
-
-    strengths: np.ndarray
-    concurrences: np.ndarray
-
-
-@dataclass(frozen=True)
 class Zone:
     """A maximal interval of vanished concurrence.
 
@@ -86,10 +78,10 @@ def _concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
                                             kraus_operators(cfg.kind, strengths)))
 
 
-def sample_curve(cfg: SweepConfig) -> ConcurrenceCurve:
-    """Uniformly sample the sweep; deterministic for a given config."""
+def sample_curve(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(strengths, concurrences) on a uniform grid, strengths strictly increasing."""
     xs = np.linspace(cfg.strength_min, cfg.strength_max, cfg.grid_points)
-    return ConcurrenceCurve(strengths=xs, concurrences=_concurrence_at(cfg, xs))
+    return xs, _concurrence_at(cfg, xs)
 
 
 def find_zones(cfg: SweepConfig) -> ZoneReport:
@@ -101,9 +93,8 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     be missed; the default 2001-point grid keeps that risk negligible for the
     curves considered here.
     """
-    curve = sample_curve(cfg)
-    xs = curve.strengths
-    step = np.diff((curve.concurrences <= ZERO_TOL).astype(int), prepend=0, append=0)
+    xs, c = sample_curve(cfg)
+    step = np.diff((c <= ZERO_TOL).astype(int), prepend=0, append=0)
     first, last = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1  # dead runs
     dies, revives = first[first > 0], last[last < len(xs) - 1]  # runs with a bisected edge
     lo = np.concatenate([xs[dies - 1], xs[revives + 1]])  # alive ends

@@ -258,10 +258,8 @@ def test_criterion_08_phase_damping_curve():
     failures = []
     for gamma in (0.2, 0.4, 0.66, 1.0):
         cfg = SweepConfig(kind=ChannelKind.PHASE_DAMPING, gamma=gamma, grid_points=101)
-        curve = sample_curve(cfg)
-        dev = float(np.max(np.abs(
-            curve.concurrences - gamma * np.exp(-2 * curve.strengths)
-        )))
+        strengths, c = sample_curve(cfg)
+        dev = float(np.max(np.abs(c - gamma * np.exp(-2 * strengths))))
         if dev > 1e-9:
             failures.append(f"gamma={gamma}: curve deviation {dev:.2e}")
         if find_zones(cfg).zones:
@@ -273,8 +271,8 @@ def test_criterion_09_symmetries():
     failures = []
     for kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
         for gamma in (0.2, 0.66, 0.9):
-            curve = sample_curve(SweepConfig(kind=kind, gamma=gamma, grid_points=201))
-            dev = float(np.max(np.abs(curve.concurrences - curve.concurrences[::-1])))
+            _, c = sample_curve(SweepConfig(kind=kind, gamma=gamma, grid_points=201))
+            dev = float(np.max(np.abs(c - c[::-1])))
             if dev > 1e-6:
                 failures.append(f"{kind.value} gamma={gamma}: curve asymmetry {dev:.2e}")
         for gamma in (0.2, 0.866):

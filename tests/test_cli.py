@@ -240,18 +240,17 @@ def test_verify_spectra_reports_and_exit_code(tmp_path, capsys):
                "--gamma-steps", "12", "--steps", "12", "--out", str(out),
                "--no-manifest")
     assert code == 2
-    rows = parse_csv(out.read_text())
-    assert rows, "expected discrepancy rows"
-    # every reported cell must actually disagree when recomputed
-    for row in rows[:20]:
-        if row["cf_lambda1"] == "nan":
-            assert float(row["max_abs_error"]) == float("inf")
-            continue
-        [rec] = scan_grid(
-            ChannelKind(row["channel"]), [float(row["gamma"])], [float(row["strength"])])
-        assert rec.max_abs_error == pytest.approx(
-            float(row["max_abs_error"]), rel=1e-6
-        )
+    # every row is the 9-digit text of the matching scan_grid row, unevaluable ones too
+    grid = np.linspace(0.0, 1.0, 12)
+    recs = scan_grid(ChannelKind.BIT_PHASE_FLIP, grid, grid)
+    header, *lines = out.read_text().splitlines()
+    assert header.startswith("channel,gamma,strength,max_abs_error,cf_lambda1,")
+    assert lines == [("bitphaseflip" + ",%.9g" * 11) % tuple(r) for r in recs.tolist()]
+    assert capsys.readouterr().err == f"bitphaseflip: {len(lines)} discrepant cells of 144\n"
+    # both kinds of row are present, and each reports a real disagreement
+    assert any(",inf,nan,nan,nan,nan," in line for line in lines)
+    assert any(",inf," not in line for line in lines)
+    assert all(float(line.split(",")[3]) > 1e-8 for line in lines)
 
 
 def test_verify_spectra_clean_channel_region(tmp_path):
@@ -353,8 +352,8 @@ def test_console_entry_point():
     assert proc.stdout.startswith("gamma,")
 
 
-def _run_cli_subprocess(argv, limit_bytes=None, timeout=60):
-    """``python -m esdscan.cli argv``; with ``limit_bytes``, under that address-space cap."""
+def _run_cli_subprocess(argv, limit_bytes=None, timeout=60, program=("-m", "esdscan.cli")):
+    """``python program argv``; with ``limit_bytes``, under that address-space cap."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -363,7 +362,7 @@ def _run_cli_subprocess(argv, limit_bytes=None, timeout=60):
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     return subprocess.run(
-        [sys.executable, "-m", "esdscan.cli", *argv], capture_output=True, text=True,
+        [sys.executable, *program, *argv], capture_output=True, text=True,
         env=env, timeout=timeout, preexec_fn=cap if limit_bytes else None,
     )
 
@@ -384,3 +383,16 @@ def test_oversized_grids_rejected_before_allocation():
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("esdscan: error: " + flag), proc.stderr
+
+
+def test_zone_tables_grid_points_share_the_cli_bounds():
+    # same cap as above: an oversized count must be refused, not built
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "zone_tables.py")
+    for count in ("1", "100000000"):
+        proc = _run_cli_subprocess(["--grid-points", count], limit_bytes=512 << 20,
+                                   program=(script,))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert ("argument --grid-points: must be an integer from 2 to 1000000, "
+                f"got '{count}'") in proc.stderr
+        assert "Traceback" not in proc.stderr

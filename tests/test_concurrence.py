@@ -88,6 +88,30 @@ class TestConcurrence:
             route(rho)
 
 
+def haar_unitaries(rng, n):
+    """``n`` Haar-random 2x2 unitaries: QR of complex Gaussian matrices, phases fixed by R."""
+    q, r = np.linalg.qr(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    d = r.diagonal(0, -2, -1)
+    return q * (d / abs(d))[..., None, :]
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_local_unitaries_keep_concurrence_and_break_x_structure(kind):
+    """Product unitaries U1 x U2 keep the concurrence of an evolved MEMS and break its X."""
+    rng = np.random.default_rng(19)
+    gammas = np.array([0.25, 0.5, 0.75, 1.0])[:, None]
+    strengths = np.array([0.1, 0.35, 0.6, 0.9])
+    evolved = apply_product(mems(gammas + 0 * strengths),
+                            kraus_operators(kind, strengths + 0 * gammas)).reshape(16, 1, 4, 4)
+    u1, u2 = haar_unitaries(rng, 80), haar_unitaries(rng, 80)
+    u = np.einsum("nij,nkl->nikjl", u1, u2).reshape(16, 5, 4, 4)  # U1 x U2, 5 per state
+    rotated = u @ evolved @ u.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(concurrence(rotated) - concurrence(evolved))) <= 1e-12
+    for rho in rotated.reshape(-1, 4, 4):
+        with pytest.raises(XStructureError):
+            xstate_concurrence(rho)
+
+
 class TestEigRoute:
     def test_matches_svd_route(self):
         for g in (0.0, 0.2, 0.66, 0.9, 1.0):

@@ -17,7 +17,7 @@ def test_all_names_every_import_and_the_version():
     imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     assert sorted(esdscan.__all__) == sorted(["__version__", *imported])
-    assert len(esdscan.__all__) == 30
+    assert len(esdscan.__all__) == 28
 
 
 @pytest.mark.parametrize("argv, code", [

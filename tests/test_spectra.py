@@ -3,7 +3,6 @@ import pytest
 
 from esdscan.channels import ChannelKind
 from esdscan.spectra import (
-    DiscrepancyRecord,
     FormulaDomainError,
     closed_form_spectrum,
     concurrence_from_spectrum,
@@ -116,27 +115,40 @@ def test_numeric_spectrum_matches_block_oracle():
                 assert np.max(np.abs(lam - ref)) < 1e-10
 
 
+# the columns of a scan_grid row
+GAMMA, STRENGTH, ERR, CF, NUM = 0, 1, 2, slice(3, 7), slice(7, 11)
+
+
+def unevaluable(recs):
+    """The rows whose closed-form columns are all NaN."""
+    return recs[np.isnan(recs[:, CF]).all(axis=1)]
+
+
 class TestCompare:
     def test_consistent_points_have_no_record(self):
-        assert scan_grid(ChannelKind.PHASE_DAMPING, [0.3], [0.7]) == []
-        assert scan_grid(ChannelKind.BIT_FLIP, [0.2], [0.5]) == []
+        assert scan_grid(ChannelKind.PHASE_DAMPING, [0.3], [0.7]).shape == (0, 11)
+        assert scan_grid(ChannelKind.BIT_FLIP, [0.2], [0.5]).shape == (0, 11)
         for kind in ChannelKind:
             strength = 1.0 if kind.is_flip else 0.0
-            assert scan_grid(kind, [0.2], [strength]) == []
+            assert scan_grid(kind, [0.2], [strength]).shape == (0, 11)
 
     def test_bit_phase_flip_disagrees_where_evaluable(self):
-        [rec] = scan_grid(ChannelKind.BIT_PHASE_FLIP, [0.2], [0.5])
-        assert isinstance(rec, DiscrepancyRecord)
-        assert rec.max_abs_error > 1e-3
+        recs = scan_grid(ChannelKind.BIT_PHASE_FLIP, [0.2], [0.5])
+        assert recs.dtype == np.float64 and recs.shape == (1, 11)
+        [rec] = recs
+        assert rec[ERR] > 1e-3
+        assert np.all(np.isfinite(rec[CF]))
 
     def test_depolarizing_disagrees(self):
         [rec] = scan_grid(ChannelKind.DEPOLARIZING, [0.2], [0.5])
-        assert rec.max_abs_error > 1e-3
+        assert rec[ERR] > 1e-3
 
     def test_unevaluable_cell_gives_inf_record(self):
         [rec] = scan_grid(ChannelKind.BIT_PHASE_FLIP, [0.2], [0.1])
-        assert rec.closed_form is None
-        assert rec.max_abs_error == np.inf
+        assert np.all(np.isnan(rec[CF]))
+        assert rec[ERR] == np.inf
+        assert rec[[GAMMA, STRENGTH]].tolist() == [0.2, 0.1]
+        assert np.all(np.isfinite(rec[NUM]))
 
     def test_above_branch_point_disagrees(self):
         # (p = 0.5 is excluded: there the evolved state is weight-independent
@@ -153,27 +165,29 @@ def test_bit_phase_flip_formula_domain_error():
 
 def test_scan_grid_clean_on_consistent_subdomain():
     recs = scan_grid(ChannelKind.AMPLITUDE_DAMPING, CASE1, np.linspace(0, 1, 30))
-    assert recs == []
+    assert recs.shape == (0, 11)
 
 
 def test_scan_grid_reports_unevaluable_cells_as_inf():
     recs = scan_grid(
         ChannelKind.BIT_PHASE_FLIP, np.array([0.2]), np.linspace(0, 1, 11)
     )
-    assert recs, "expected discrepancies"
-    infs = [r for r in recs if r.closed_form is None]
-    assert infs and all(np.isinf(r.max_abs_error) for r in infs)
+    assert len(recs), "expected discrepancies"
+    infs = unevaluable(recs)
+    assert len(infs) and np.all(np.isinf(infs[:, ERR]))
+    # a NaN closed-form column marks exactly the rows with an infinite error
+    assert np.array_equal(np.isnan(recs[:, CF]).any(axis=1), np.isinf(recs[:, ERR]))
     # deterministic (gamma, strength) ordering
-    keys = [(r.gamma, r.strength) for r in recs]
+    keys = recs[:, [GAMMA, STRENGTH]].tolist()
     assert keys == sorted(keys)
     # the damping formulas overflow to NaN/inf at large lt: unevaluable, never agreeing
     for kind in (ChannelKind.AMPLITUDE_DAMPING, ChannelKind.PHASE_DAMPING,
                  ChannelKind.DEPOLARIZING):
         recs = scan_grid(kind, np.linspace(0, 1, 3), np.linspace(0, 1000, 3))
-        infs = [r for r in recs if r.closed_form is None]
-        assert [(r.gamma, r.strength) for r in infs] == [
-            (g, s) for g in (0.0, 0.5, 1.0) for s in (500.0, 1000.0)]
-        assert all(r.max_abs_error == np.inf for r in infs)
+        infs = unevaluable(recs)
+        assert infs[:, [GAMMA, STRENGTH]].tolist() == [
+            [g, s] for g in (0.0, 0.5, 1.0) for s in (500.0, 1000.0)]
+        assert np.all(infs[:, ERR] == np.inf)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))

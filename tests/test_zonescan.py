@@ -47,38 +47,37 @@ class TestConfig:
 
     def test_damping_domain_extends_past_one(self):
         c = cfg(ChannelKind.AMPLITUDE_DAMPING, 0.5, strength_max=3.0, grid_points=11)
-        curve = sample_curve(c)
-        assert curve.strengths[-1] == pytest.approx(3.0)
+        strengths, _ = sample_curve(c)
+        assert strengths[-1] == pytest.approx(3.0)
 
 
 class TestSampleCurve:
     def test_monotone_strengths_and_bounded_concurrence(self):
-        curve = sample_curve(cfg(ChannelKind.DEPOLARIZING, 0.6, grid_points=101))
-        assert np.all(np.diff(curve.strengths) > 0)
-        assert np.all((curve.concurrences >= 0) & (curve.concurrences <= 1))
+        strengths, c = sample_curve(cfg(ChannelKind.DEPOLARIZING, 0.6, grid_points=101))
+        assert np.all(np.diff(strengths) > 0)
+        assert np.all((c >= 0) & (c <= 1))
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_identity_endpoint_gives_gamma(self, kind):
         g = 0.4
-        curve = sample_curve(cfg(kind, g, grid_points=51))
-        undisturbed = curve.concurrences[-1] if kind.is_flip else curve.concurrences[0]
+        _, c = sample_curve(cfg(kind, g, grid_points=51))
+        undisturbed = c[-1] if kind.is_flip else c[0]
         assert undisturbed == pytest.approx(g, abs=1e-9)
 
     @pytest.mark.parametrize("route", ["numeric"])  # the Kraus evolution, the one route
     def test_phase_damping_matches_exponential(self, route):
         g = 0.4
-        curve = sample_curve(cfg(ChannelKind.PHASE_DAMPING, g, grid_points=101))
-        expected = g * np.exp(-2 * curve.strengths)
-        assert np.max(np.abs(curve.concurrences - expected)) < 1e-9
+        strengths, c = sample_curve(cfg(ChannelKind.PHASE_DAMPING, g, grid_points=101))
+        assert np.max(np.abs(c - g * np.exp(-2 * strengths))) < 1e-9
 
     def test_bit_flip_curve_symmetric(self):
-        curve = sample_curve(cfg(ChannelKind.BIT_FLIP, 0.2, grid_points=201))
-        assert np.max(np.abs(curve.concurrences - curve.concurrences[::-1])) < 1e-9
+        _, c = sample_curve(cfg(ChannelKind.BIT_FLIP, 0.2, grid_points=201))
+        assert np.max(np.abs(c - c[::-1])) < 1e-9
 
     def test_samples_property(self):
-        curve = sample_curve(cfg(ChannelKind.PHASE_DAMPING, 0.2, grid_points=5))
-        assert len(curve.strengths) == len(curve.concurrences) == 5
-        assert curve.strengths[0] == 0.0
+        strengths, c = sample_curve(cfg(ChannelKind.PHASE_DAMPING, 0.2, grid_points=5))
+        assert len(strengths) == len(c) == 5
+        assert strengths[0] == 0.0
 
 
 # endpoints computed independently during development with an explicit
