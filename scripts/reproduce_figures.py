@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from esdscan.cli import main as esdscan
+from esdscan.cli import _count, main as esdscan
 
 FLIP_GAMMAS = [0.2, 0.4, 0.66, 0.866, 0.9666, 1.0]
 DAMPING_GAMMAS = [0.2, 0.4, 0.66, 0.866, 1.0]
@@ -27,10 +27,14 @@ def run(argv: list[str]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
-    parser.add_argument("--steps", type=int, default=401, help="sweep resolution")
+    parser.add_argument("--steps", type=lambda t: _count(t, 2), default=401,
+                        help="sweep resolution")
     args = parser.parse_args()
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"argument --out-dir: cannot create {str(out)!r}: {exc.strerror}")
 
     run(["compare-states", "--steps", "201",
          "--out", str(out / "state_comparison.csv"),

@@ -14,10 +14,9 @@ from .concurrence import (
     IntegrityError,
     XStructureError,
     concurrence,
-    wootters_spectrum,
+    wootters_sigmas,
     xstate_concurrence,
 )
-from .linalg import dag
 from .spectra import (
     FormulaDomainError,
     closed_form_spectrum,
@@ -51,9 +50,8 @@ __all__ = [
     "IntegrityError",
     "XStructureError",
     "concurrence",
-    "wootters_spectrum",
+    "wootters_sigmas",
     "xstate_concurrence",
-    "dag",
     "FormulaDomainError",
     "closed_form_spectrum",
     "concurrence_from_spectrum",

@@ -6,8 +6,7 @@ import enum
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, require_finite
-from .states import check_states, validate_density
+from .states import check_states, require_finite, validate_density
 
 COMPLETENESS_TOL = 1e-12
 _LARGEST = np.finfo(float).max  # the damping exponent's upper end: NaN and inf fail it
@@ -43,6 +42,11 @@ def check_strength(kind: ChannelKind, strength) -> np.ndarray:
         raise ValueError(f"{kind.value}: {rule}, got {strength}")
     return s
 
+
+I2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Each operator is the square root of a weight times a fixed matrix
 # (Nielsen & Chuang, sec. 8.3); amplitude damping's first operator also holds |0><0|.

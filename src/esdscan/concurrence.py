@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULI_Y, require_finite
-from .states import check_states
+from .channels import PAULI_Y
+from .states import check_states, require_finite
 
 # Positivity guard on the evolved state; looser than solver accuracy to absorb
 # accumulation across channel application.
@@ -58,11 +58,6 @@ def wootters_sigmas(rho: np.ndarray) -> np.ndarray:
     root = _sqrtm_psd(rho)
     b = root @ SPIN_FLIP_YY @ root.conj()
     return np.linalg.svd(b, compute_uv=False)
-
-
-def wootters_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of rho rho~, shape (..., 4)."""
-    return wootters_sigmas(rho) ** 2
 
 
 def concurrence(rho: np.ndarray):

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChannelKind, apply_product, check_strength, kraus_operators
-from .concurrence import wootters_spectrum
-from .linalg import require_finite
-from .states import check_gamma, mems
+from .concurrence import wootters_sigmas
+from .states import check_gamma, mems, require_finite
 
 # Square-root arguments driven negative by rounding are clamped at 0 down to
 # this guard; anything below it is a genuine formula-domain violation.
@@ -156,7 +155,7 @@ def concurrence_from_spectrum(lambdas) -> np.ndarray:
 
 def numeric_spectrum(kind: ChannelKind, gamma, strength) -> np.ndarray:
     """Ground-truth spectrum from the product-channel pipeline, descending (..., 4)."""
-    return wootters_spectrum(apply_product(mems(gamma), kraus_operators(kind, strength)))
+    return wootters_sigmas(apply_product(mems(gamma), kraus_operators(kind, strength))) ** 2
 
 
 def scan_grid(kind: ChannelKind, gammas: np.ndarray, strengths: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HERM_TOL, dag, require_finite
-
+# Entrywise hermiticity tolerance of validate_density.
+HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
@@ -17,6 +17,13 @@ class DensityMatrixError(ValueError):
         super().__init__(f"{violation} violation: deviation {deviation:.3e}")
         self.violation = violation
         self.deviation = deviation
+
+
+def require_finite(m: np.ndarray, name: str) -> np.ndarray:
+    m = np.asarray(m)
+    if not np.isfinite(m).all():  # a complex entry needs both parts finite
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
 
 
 def check_gamma(gamma) -> np.ndarray:
@@ -79,7 +86,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     # NaN/inf entries are looked for only once a test fails; their message wins.
     m = check_states(m, "density matrix")
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-        herm = float(abs(m - dag(m)).max())
+        herm = float(abs(m - m.conj().swapaxes(-1, -2)).max())
     if not herm <= HERM_TOL:
         require_finite(m, "density matrix")
         raise DensityMatrixError("hermiticity", herm)

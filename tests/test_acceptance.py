@@ -17,9 +17,8 @@ from esdscan.channels import (
 )
 from esdscan.cli import main as cli_main
 from esdscan.concurrence import concurrence, xstate_concurrence
-from esdscan.linalg import HERM_TOL, dag
 from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, numeric_spectrum
-from esdscan.states import mems, werner, werner_concurrence_raw
+from esdscan.states import HERM_TOL, mems, werner, werner_concurrence_raw
 from esdscan.zonescan import SweepConfig, find_zones, sample_curve
 
 from conftest import record_criterion
@@ -81,7 +80,7 @@ def test_criterion_02_cptp_and_state_validity():
         if dev > COMPLETENESS_TOL:
             failures.append(f"{kind.value} completeness {dev:.2e}")
         rho = _evolved_grid(kind)
-        herm = float(np.max(np.abs(rho - dag(rho))))
+        herm = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
         tr = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
         psd = float(np.min(np.linalg.eigvalsh(rho)))
         if herm > HERM_TOL:

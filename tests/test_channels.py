@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 
 from esdscan.channels import (
     COMPLETENESS_TOL,
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     ChannelKind,
     apply_product,
     apply_product_channel,
@@ -12,8 +16,7 @@ from esdscan.channels import (
     kraus_operators,
     kraus_set,
 )
-from esdscan.linalg import HERM_TOL, I2, PAULI_X, PAULI_Y, PAULI_Z, dag
-from esdscan.states import mems, validate_density, werner
+from esdscan.states import HERM_TOL, mems, validate_density, werner
 
 from _oracles import evolve_ref, kraus_ref, mems_ref
 
@@ -105,7 +108,7 @@ def test_phase_damping_scales_corners_only():
 def random_density(rng, shape=()):
     """Full-rank density matrices with every entry populated (not X-states)."""
     a = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
-    rho = a @ dag(a) + 0.1 * np.eye(4)
+    rho = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(4)
     return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
@@ -181,7 +184,7 @@ def test_evolution_preserves_state_invariants(kind):
                         kraus_operators(kind, strengths + 0 * gammas))
     traces = np.trace(rho, axis1=-2, axis2=-1)
     assert np.max(np.abs(traces - 1)) < 1e-12
-    assert np.max(np.abs(rho - dag(rho))) < HERM_TOL
+    assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) < HERM_TOL
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
 

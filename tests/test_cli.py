@@ -385,14 +385,36 @@ def test_oversized_grids_rejected_before_allocation():
         assert proc.stderr.startswith("esdscan: error: " + flag), proc.stderr
 
 
-def test_zone_tables_grid_points_share_the_cli_bounds():
-    # same cap as above: an oversized count must be refused, not built
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "zone_tables.py")
-    for count in ("1", "100000000"):
-        proc = _run_cli_subprocess(["--grid-points", count], limit_bytes=512 << 20,
-                                   program=(script,))
+def _script(name):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name)
+
+
+def test_zone_tables_grid_points_share_the_cli_bounds(tmp_path):
+    # same cap as above: an oversized count must be refused, not built, and
+    # reproduce_figures.py must refuse it before it writes anything
+    out = tmp_path / "results"
+    for script, argv, flag in (("zone_tables.py", [], "--grid-points"),
+                               ("reproduce_figures.py", ["--out-dir", str(out)], "--steps")):
+        for count in ("1", "100000000"):
+            proc = _run_cli_subprocess([*argv, flag, count], limit_bytes=512 << 20,
+                                       program=(_script(script),))
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert (f"argument {flag}: must be an integer from 2 to 1000000, "
+                    f"got '{count}'") in proc.stderr
+            assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_reproduce_figures_out_dir_must_be_a_directory(tmp_path):
+    taken = tmp_path / "results"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        proc = _run_cli_subprocess(["--out-dir", str(out), "--steps", "2"],
+                                   program=(_script("reproduce_figures.py"),))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert ("argument --grid-points: must be an integer from 2 to 1000000, "
-                f"got '{count}'") in proc.stderr
+        assert f"argument --out-dir: cannot create {str(out)!r}: " in proc.stderr
         assert "Traceback" not in proc.stderr
+    assert taken.read_text() == ""
+    assert sorted(tmp_path.iterdir()) == [taken]

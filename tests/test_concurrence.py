@@ -12,7 +12,7 @@ from esdscan.concurrence import (
     IntegrityError,
     XStructureError,
     concurrence,
-    wootters_spectrum,
+    wootters_sigmas,
     xstate_concurrence,
 )
 from esdscan.states import mems, werner
@@ -51,7 +51,7 @@ class TestConcurrence:
 
     def test_spectrum_is_descending_and_traces(self):
         rho = werner(0.73)
-        lam = wootters_spectrum(rho)
+        lam = wootters_sigmas(rho) ** 2
         assert np.all(np.diff(lam) <= 1e-15)
         product = rho @ SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY
         assert np.sum(lam) == pytest.approx(np.trace(product).real, abs=1e-12)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from esdscan.channels import (
+    I2,
     ChannelKind,
     apply_product,
     apply_product_channel,
@@ -16,8 +17,7 @@ from esdscan.channels import (
     kraus_operators,
     kraus_set,
 )
-from esdscan.concurrence import concurrence, wootters_spectrum, xstate_concurrence
-from esdscan.linalg import I2
+from esdscan.concurrence import concurrence, wootters_sigmas, xstate_concurrence
 from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, scan_grid
 from esdscan.states import (
     DensityMatrixError,
@@ -137,7 +137,7 @@ REJECTIONS = [
           "positivity violation: deviation 5.000e-01", 0.5, id="density-positivity"),
     # every other function that takes a state checks its stack as validate_density does
     *[_case(f, m, ValueError, message, id=f"{f.__name__}-{label}")
-      for f in (concurrence, wootters_spectrum, xstate_concurrence, _apply_product)
+      for f in (concurrence, wootters_sigmas, xstate_concurrence, _apply_product)
       for m, message, label in (
           (np.eye(3) / 3, "expected (..., 4, 4), got shape (3, 3)", "shape"),
           (np.zeros((0, 4, 4)),

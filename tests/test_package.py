@@ -1,8 +1,10 @@
-"""The public surface: ``__all__`` lists exactly what the package imports, and the
-console script names a callable that returns the exit code."""
+"""The public surface: ``__all__`` lists exactly what the package imports, the
+package holds its six modules, and the console script names a callable that
+returns the exit code."""
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,12 @@ def test_all_names_every_import_and_the_version():
     imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     assert sorted(esdscan.__all__) == sorted(["__version__", *imported])
-    assert len(esdscan.__all__) == 28
+    assert len(esdscan.__all__) == 27
+
+
+def test_the_package_holds_six_modules():
+    names = {info.name for info in pkgutil.iter_modules(esdscan.__path__)}
+    assert names == {"channels", "cli", "concurrence", "spectra", "states", "zonescan"}
 
 
 @pytest.mark.parametrize("argv, code", [
