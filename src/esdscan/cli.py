@@ -54,6 +54,8 @@ def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
     plot_script = getattr(args, "plot_script", None)  # compare-states and sweep only
     if plot_script and args.out is None:
         raise ValueError("--plot-script requires --out (the script references the CSV)")
+    if plot_script and Path(plot_script).resolve() == Path(args.out).resolve():
+        raise ValueError("--plot-script must not name the --out file")
     if not args.no_manifest:
         params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                           if k not in _NOT_PARAMETERS and v is not None)

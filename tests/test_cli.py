@@ -217,6 +217,22 @@ def test_plot_script_requires_out(tmp_path, capsys):
         assert not (tmp_path / "x.gp").exists()
 
 
+def test_plot_script_must_not_overwrite_out(tmp_path, capsys, monkeypatch):
+    # the gnuplot script once replaced the CSV and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for out, plot in (("same.csv", "same.csv"), ("same.csv", "sub/../same.csv"),
+                      (str(tmp_path / "same.csv"), "same.csv")):
+        for argv in (["compare-states", "--steps", "3"],
+                     ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "3"]):
+            assert run(*argv, "--out", out, "--plot-script", plot) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("esdscan: error: --plot-script must not name "
+                                    "the --out file\n")
+            assert not (tmp_path / "same.csv").exists()
+
+
 def test_unwritable_output_exits_1_without_traceback(tmp_path):
     # whichever file cannot be written, the run leaves no file behind
     missing = tmp_path / "missing"
@@ -313,11 +329,17 @@ def test_exit_code_usage_errors(capsys):
                  ["verify-spectra", "--channel", "bitflip", "--steps", "3",
                   "--gamma-steps", "0"],
                  ["verify-spectra", "--channel", "bitflip", "--gamma-steps", "3",
-                  "--steps", "0"]):
+                  "--steps", "0"],
+                 ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "1.5"],
+                 ["zones", "--channel", "bitflip", "--gamma", "0.2", "--steps", "ten"]):
         assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"esdscan: error: argument {argv[-2]}: " in captured.err
+    # a count that is not integer text gets the same message as one out of range
+    assert run("sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "1.5") == 1
+    assert capsys.readouterr().err == ("esdscan: error: argument --steps: must be an "
+                                       "integer from 2 to 1000000, got '1.5'\n")
 
 
 def test_exit_code_integrity_failure(capsys):
@@ -389,21 +411,38 @@ def _script(name):
     return os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name)
 
 
-def test_zone_tables_grid_points_share_the_cli_bounds(tmp_path):
+def test_reproduce_figures_steps_share_the_cli_bounds(tmp_path):
     # same cap as above: an oversized count must be refused, not built, and
-    # reproduce_figures.py must refuse it before it writes anything
+    # before anything is written
     out = tmp_path / "results"
-    for script, argv, flag in (("zone_tables.py", [], "--grid-points"),
-                               ("reproduce_figures.py", ["--out-dir", str(out)], "--steps")):
-        for count in ("1", "100000000"):
-            proc = _run_cli_subprocess([*argv, flag, count], limit_bytes=512 << 20,
-                                       program=(_script(script),))
-            assert proc.returncode == 2, proc.stderr
-            assert proc.stdout == ""
-            assert (f"argument {flag}: must be an integer from 2 to 1000000, "
-                    f"got '{count}'") in proc.stderr
-            assert "Traceback" not in proc.stderr
+    for count in ("1", "100000000"):
+        proc = _run_cli_subprocess(["--out-dir", str(out), "--steps", count],
+                                   limit_bytes=512 << 20,
+                                   program=(_script("reproduce_figures.py"),))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert (f"argument --steps: must be an integer from 2 to 1000000, "
+                f"got '{count}'") in proc.stderr
+        assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_reproduce_figures_writes_the_zone_table(tmp_path):
+    # the table is read back from the zone reports; a file already in the
+    # directory is not counted as written
+    (tmp_path / "stray.txt").write_text("")
+    proc = _run_cli_subprocess(["--out-dir", str(tmp_path), "--steps", "2"],
+                               program=(_script("reproduce_figures.py"),))
+    assert proc.returncode == 0, proc.stderr
+    table = (tmp_path / "zone_table.txt").read_text().splitlines()
+    assert len(table) == 33
+    for line in ("bitflip           gamma=0.9666   zone 0.433744 -> 0.566256",
+                 "phaseflip         gamma=0.66     touch 0.499981 -> 0.500019",
+                 "amplitudedamping  gamma=0.66     zone 0.939300 -> end of domain",
+                 "phasedamping      gamma=1        no zone"):
+        assert line in table
+    written = len(list(tmp_path.iterdir())) - 1
+    assert proc.stdout == "\n".join([*table, f"wrote {written} files to {tmp_path}/", ""])
 
 
 def test_reproduce_figures_out_dir_must_be_a_directory(tmp_path):
