@@ -71,7 +71,9 @@ def run_bench(tree: Path, opts) -> tuple[dict, dict]:
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """q1, median and q3; a single run is all three."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 

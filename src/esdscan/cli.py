@@ -1,9 +1,10 @@
 """Command-line front end: state comparison, sweeps, zone reports, spectrum checks.
 
-``sweep`` and ``zones`` score the Kraus-evolved MEMS with the X-state closed
-form (``sweep --engine closedform`` adds a column from the tabulated spectra);
-``verify-spectra`` scores the same evolved states with the Wootters
-construction, the ground truth the tabulated spectra are checked against.
+``sweep`` and ``zones`` evolve only the six X entries of the MEMS and score
+them with the X-state closed form (``sweep --engine closedform`` adds a column
+from the tabulated spectra); ``verify-spectra`` scores full ``apply_product``
+states with the Wootters construction, the ground truth the tabulated spectra
+are checked against.
 
 Exit codes: 0 success, 1 argument/domain error, 2 spectrum discrepancies found,
 3 numerical-integrity failure.
@@ -46,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NOT_PARAMETERS = {"out", "plot_script", "no_manifest", "func"}
-_MAX_CELLS = 10**6  # grid cells evaluated per call; about 1 KiB of peak memory each
+_MAX_CELLS = 10**6  # grid cells evaluated per call; about 1.3 KiB of peak memory each
 
 
 def _write(args, lines: list[str], columns: list[str] | None = None) -> None:

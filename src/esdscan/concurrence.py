@@ -98,5 +98,6 @@ def xstate_concurrence(rho: np.ndarray):
         raise IntegrityError(f"state has eigenvalue {lowest:.3e}, below -{NEG_TOL}")
     # each coherence against the other block's sqrt(rho_11 rho_44) or sqrt(rho_22 rho_33)
     roots = np.sqrt(np.maximum(top * bottom, 0.0))
-    c = 2.0 * np.maximum(0.0, (coh - roots[..., ::-1]).max(axis=-1))
+    gap = coh - roots[..., ::-1]
+    c = 2.0 * np.maximum(0.0, np.maximum(gap[..., 0], gap[..., 1]))
     return c if c.shape else float(c)

@@ -1,7 +1,7 @@
 """Concurrence sweeps over channel strength and ESD/ESDB zone detection.
 
-The MEMS is evolved through the product Kraus channel and scored with the
-X-state closed form (every evolved MEMS is an X-state). Zones never come from
+Every evolved MEMS is an X-state: only its six X entries are evolved, from the
+Kraus table, and scored with the X-state closed form. Zones never come from
 the tabulated spectra, which are claims under test (see ``spectra``).
 """
 
@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .channels import ChannelKind, apply_product, check_strength, kraus_operators
+from .channels import ChannelKind, check_strength, kraus_operators
 from .concurrence import xstate_concurrence
 from .states import check_gamma, mems
 
@@ -74,8 +74,25 @@ class ZoneReport:
 
 
 def _concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
-    return xstate_concurrence(apply_product(mems(cfg.gamma),
-                                            kraus_operators(cfg.kind, strengths)))
+    """Concurrence of the MEMS under ``cfg.kind`` on both qubits, per strength.
+
+    No Kraus set here mixes populations with coherences, so only the six X
+    entries are evolved. Per qubit, P[i, j] = sum_k |Ek[i, j]|^2 maps the
+    populations and C[i, j] = sum_k Ek[i, j] Ek[1-i, 1-j]* the coherences
+    (rho_01, rho_10), so V = [[rho_11, rho_22], [rho_33, rho_44]] -> P V P^T
+    and U = [[rho_14, rho_23], [rho_32, rho_41]] -> C U C^T.
+    ``xstate_concurrence`` scores, and guards, the X-state they fill.
+    """
+    rho, shape = mems(cfg.gamma), np.shape(strengths)
+    # e[k, 2 i + j] is Ek[i, j] at every strength: long rows, not 2x2 blocks
+    e = np.ascontiguousarray(kraus_operators(cfg.kind, strengths)
+                             .reshape(math.prod(shape), -1, 4).transpose(1, 2, 0))
+    x = np.zeros((16, e.shape[-1]), complex)  # the evolved states, entry by entry
+    for partner, flat in ((e, np.s_[::5]), (e[:, ::-1], np.s_[3:13:3])):
+        m = np.einsum("kas,kas->as", e, partner.conj()).reshape(2, 2, -1)  # P, then C
+        mv = rho.reshape(16)[flat].reshape(2, 2).T @ m  # M V: V for P, U for C
+        x[flat] = (mv[:, None, 0] * m[None, :, 0] + mv[:, None, 1] * m[None, :, 1]).reshape(4, -1)
+    return xstate_concurrence(x.T.reshape(*shape, 4, 4))
 
 
 def sample_curve(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:

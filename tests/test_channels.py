@@ -163,8 +163,8 @@ def test_broadcasts_states_against_operators(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS + ["complex"])
 def test_single_state_route_is_the_stacked_route_bit_for_bit(kind):
-    # a single state takes one (N*4, 4) @ (4, 4) GEMM for S R; copies of it
-    # stacked to the operators' shape take the batched route
+    # a single state broadcast against an operator stack gives the same bits
+    # as copies of it stacked to the operators' shape
     rng = np.random.default_rng(17)
     single = random_density(rng)
     for stack in ((1,), (7,), (2001,), (3, 5)):
@@ -201,7 +201,7 @@ def test_evolution_preserves_x_structure(kind):
 
 
 COMPOSE_TOL = 1e-14
-# single states take the one-GEMM branch, a stack of three the batched one
+# single states broadcast against the operators, a stack of three pairs with them
 COMPOSE_STATES = [mems(0.55), random_density(np.random.default_rng(23)),
                   random_density(np.random.default_rng(29), (3,))]
 

@@ -1,7 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
-from esdscan.channels import ChannelKind
+from esdscan.channels import ChannelKind, apply_product, kraus_operators
+from esdscan.cli import main
+from esdscan.concurrence import xstate_concurrence
+from esdscan.states import mems
 from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, scan_grid
 from esdscan.zonescan import (
     ZERO_TOL,
@@ -208,3 +213,50 @@ def test_find_zones_matches_sequential_reference(kind, gamma, kw, route):
         lambda s: _concurrence_at(c, s), c.strength_min, c.strength_max,
         c.grid_points, c.refine_tol, ZERO_TOL)]
     assert find_zones(c).zones == want
+
+
+# The X-entry engine: the six X entries of the MEMS evolved from the Kraus table.
+
+DAMPING_EXTREMES = [745.0, 1e300, np.finfo(float).max]  # eta = exp(-lt) subnormal, then 0
+
+
+def _strengths(kind, rng):
+    grid = np.linspace(0.0, 1.0 if kind.is_flip else 40.0, 201)
+    extra = rng.uniform(0.0, 1.0, 50) if kind.is_flip else DAMPING_EXTREMES
+    return np.concatenate([grid, extra])
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=_case_id)
+def test_kraus_sets_keep_populations_and_coherences_apart(kind):
+    # the premise of the engine: one qubit's map sends populations to
+    # populations and coherences to coherences, exactly
+    ops = kraus_operators(kind, _strengths(kind, np.random.default_rng(3)))
+    for i in (0, 1):  # population i from the coherence rho_01
+        assert not (ops[..., i, 0] * ops[..., i, 1].conj()).sum(axis=-1).any()
+    for l in (0, 1):  # the coherence rho_01 from population l
+        assert not (ops[..., 0, l] * ops[..., 1, l].conj()).sum(axis=-1).any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=_case_id)
+def test_x_entry_engine_matches_the_full_evolution(kind):
+    rng = np.random.default_rng(41)
+    strengths = _strengths(kind, rng)
+    for gamma in (0.0, 2.0 / 3.0, 1.0, *rng.uniform(0.0, 1.0, 5)):
+        full = xstate_concurrence(apply_product(mems(gamma), kraus_operators(kind, strengths)))
+        got = _concurrence_at(cfg(kind, gamma), strengths)
+        assert got.shape == full.shape
+        assert np.max(np.abs(got - full)) <= 4.4e-16
+
+
+@pytest.mark.parametrize("command", ["sweep", "zones"])
+def test_non_physical_state_exits_3(monkeypatch, capsys, command):
+    # the positivity guard of the X closed form still runs on the evolved entries
+    bad = mems(2.0 / 3.0)  # diag(1/3, 1/3, 0, 1/3), coherences 1/3
+    bad[0, 3] = bad[3, 0] = 0.5  # block eigenvalue 1/3 - 1/2 < 0
+    monkeypatch.setattr(sys.modules["esdscan.zonescan"], "mems", lambda gamma: bad)
+    assert main([command, "--channel", "phaseflip", "--gamma", "1", "--steps", "3",
+                 "--no-manifest"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below -1e-08" in captured.err
