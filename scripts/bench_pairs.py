@@ -104,7 +104,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=25)
+    p.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds, %(default)s",
+                   default=json.loads((ROOT / "BENCHMARK.json").read_bytes())["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--layer", action="append",
                    help="with --trace 1, a per-layer metric to report (default: all)")

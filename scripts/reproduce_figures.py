@@ -14,18 +14,35 @@ from pathlib import Path
 
 from esdscan.cli import _count, main as esdscan
 
-FLIP_GAMMAS = [0.2, 0.4, 0.66, 0.866, 0.9666, 1.0]
-DAMPING_GAMMAS = [0.2, 0.4, 0.66, 0.866, 1.0]
-FLIP_CHANNELS = ["bitflip", "phaseflip", "bitphaseflip"]
-DAMPING_CHANNELS = ["amplitudedamping", "phasedamping", "depolarizing"]
+# The paper's cases in figure order; the golden and zone tests import them from here.
+FLIP_GAMMAS = (0.2, 0.4, 0.66, 0.866, 0.9666, 1.0)
+DAMPING_GAMMAS = (0.2, 0.4, 0.66, 0.866, 1.0)
+CASES = [(ch, g) for ch in ("bitflip", "phaseflip", "bitphaseflip") for g in FLIP_GAMMAS] + [
+    (ch, g) for ch in ("amplitudedamping", "phasedamping", "depolarizing") for g in DAMPING_GAMMAS]
 
 
-def run(argv: list[str]) -> list[str]:
-    """Run one esdscan command; return the paths it wrote."""
+def tag(channel: str, gamma: float) -> str:  # bitflip_g0p2
+    return f"{channel}_g{gamma:g}".replace(".", "p")
+
+
+def sweep_argv(channel: str, gamma: float, steps: int) -> list[str]:
+    argv = ["sweep", "--channel", channel, "--gamma", str(gamma), "--steps", str(steps)]
+    # the closed-form column needs formulas that evaluate; bitphaseflip's mostly do not
+    return argv if channel == "bitphaseflip" else argv + ["--engine", "closedform"]
+
+
+def zones_argv(channel: str, gamma: float) -> list[str]:
+    return ["zones", "--channel", channel, "--gamma", str(gamma)]
+
+
+def run(argv: list[str], out: Path, plot: bool = False) -> int:
+    """Run one esdscan command into ``out`` (and a .gp plot script); count the files."""
+    argv = argv + ["--out", str(out)]
+    argv += ["--plot-script", str(out.with_suffix(".gp"))] if plot else []
     code = esdscan(argv)
     if code not in (0, 2):
         raise SystemExit(f"esdscan {' '.join(argv)} failed with exit code {code}")
-    return [path for flag, path in zip(argv, argv[1:]) if flag in ("--out", "--plot-script")]
+    return 2 if plot else 1
 
 
 def describe(zones_path: Path) -> str:
@@ -50,32 +67,18 @@ def main() -> None:
     except OSError as exc:
         parser.error(f"argument --out-dir: cannot create {str(out)!r}: {exc.strerror}")
 
-    written = run(["compare-states", "--steps", "201",
-                   "--out", str(out / "state_comparison.csv"),
-                   "--plot-script", str(out / "state_comparison.gp")])
+    written = run(["compare-states", "--steps", "201"], out / "state_comparison.csv", plot=True)
 
     table = []
-    for channel in FLIP_CHANNELS + DAMPING_CHANNELS:
-        gammas = FLIP_GAMMAS if channel in FLIP_CHANNELS else DAMPING_GAMMAS
-        for gamma in gammas:
-            tag = f"{channel}_g{gamma:g}".replace(".", "p")
-            sweep = ["sweep", "--channel", channel, "--gamma", str(gamma),
-                     "--steps", str(args.steps),
-                     "--out", str(out / f"sweep_{tag}.csv"),
-                     "--plot-script", str(out / f"sweep_{tag}.gp")]
-            # the closed-form column is only defined where the formulas
-            # evaluate; bitphaseflip's do not over most of [0, 1]
-            if channel != "bitphaseflip":
-                sweep += ["--engine", "closedform"]
-            written += run(sweep)
-            zones = out / f"zones_{tag}.json"
-            written += run(["zones", "--channel", channel, "--gamma", str(gamma),
-                            "--out", str(zones)])
-            table.append(describe(zones))
+    for case in CASES:
+        name = tag(*case)
+        written += run(sweep_argv(*case, args.steps), out / f"sweep_{name}.csv", plot=True)
+        written += run(zones_argv(*case), out / f"zones_{name}.json")
+        table.append(describe(out / f"zones_{name}.json"))
 
-    written += run(["verify-spectra", "--out", str(out / "spectrum_verification.csv")])
+    written += run(["verify-spectra"], out / "spectrum_verification.csv")
     (out / "zone_table.txt").write_text("\n".join(table) + "\n", encoding="utf-8")
-    print(*table, f"wrote {len(written) + 1} files to {out}/", sep="\n")  # + zone_table.txt
+    print(*table, f"wrote {written + 1} files to {out}/", sep="\n")  # + zone_table.txt
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .states import (
     mems,
     validate_density,
     werner,
-    werner_concurrence_raw,
 )
 from .zonescan import (
     SweepConfig,
@@ -61,7 +60,6 @@ __all__ = [
     "mems",
     "validate_density",
     "werner",
-    "werner_concurrence_raw",
     "SweepConfig",
     "Zone",
     "ZoneReport",

@@ -26,7 +26,6 @@ from .channels import ChannelKind, check_strength
 from .concurrence import IntegrityError
 from .spectra import (FormulaDomainError, closed_form_spectrum,
                       concurrence_from_spectrum, scan_grid)
-from .states import werner_concurrence_raw
 from .zonescan import (
     DEFAULT_GRID_POINTS,
     SweepConfig,
@@ -105,7 +104,8 @@ def _count(text: str, least: int = 1) -> int:
 
 def _cmd_compare_states(args) -> int:
     gammas = np.linspace(0.0, 1.0, args.steps)
-    raw = werner_concurrence_raw(gammas)  # the MEMS concurrence is gamma itself
+    # the Werner concurrence before its clamp at 0; the MEMS concurrence is gamma itself
+    raw = (3.0 * gammas - 1.0) / 2.0
     return _table(args, ["gamma", "c_werner_raw", "c_werner", "c_mems"],
                   [gammas, raw, np.maximum(0.0, raw), gammas])
 

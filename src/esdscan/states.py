@@ -97,9 +97,3 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if not min_eig >= -PSD_TOL:
         raise DensityMatrixError("positivity", -min_eig)
     return m
-
-
-def werner_concurrence_raw(gamma):
-    """Unclamped Werner expression (3*gamma - 1)/2, negative below gamma = 1/3."""
-    g = check_gamma(gamma)
-    return (3.0 * g - 1.0) / 2.0

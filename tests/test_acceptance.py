@@ -18,7 +18,7 @@ from esdscan.channels import (
 from esdscan.cli import main as cli_main
 from esdscan.concurrence import concurrence, xstate_concurrence
 from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, numeric_spectrum
-from esdscan.states import HERM_TOL, mems, werner, werner_concurrence_raw
+from esdscan.states import HERM_TOL, mems, werner
 from esdscan.zonescan import SweepConfig, find_zones, sample_curve
 
 from conftest import record_criterion
@@ -53,7 +53,7 @@ def test_criterion_01_reference_concurrences():
     c_mems = concurrence(mems(grid))
     c_werner = concurrence(werner(grid))
     dev_m = float(np.max(np.abs(c_mems - grid)))
-    dev_w = float(np.max(np.abs(c_werner - np.maximum(0.0, werner_concurrence_raw(grid)))))
+    dev_w = float(np.max(np.abs(c_werner - np.maximum(0.0, (3.0 * grid - 1.0) / 2.0))))
     if dev_m > 1e-9:
         failures.append(f"mems deviation {dev_m:.2e}")
     if dev_w > 1e-9:

@@ -1,12 +1,12 @@
 """``scripts/bench_pairs.py`` summaries: quartiles and pair wins from one or more pairs."""
 
-import importlib.util
-from pathlib import Path
+import json
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+import pytest
+
+from conftest import load_script
+
+bench_pairs = load_script("bench_pairs")
 
 
 def test_summarize_one_pair():
@@ -28,3 +28,12 @@ def test_summarize_two_pairs():
     assert entry["change_over_parent"] == 0.667
     assert entry["change_lower_in"] == "1/2 pairs"
     assert entry["runs"] == {"parent": [2.0, 4.0], "change": [3.0, 1.0]}
+
+
+def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, capsys):
+    # the default follows BENCHMARK.json, not a restated number
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--help"])
+    assert "BENCHMARK.json run_seconds, 7" in " ".join(capsys.readouterr().out.split())

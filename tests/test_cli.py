@@ -14,6 +14,8 @@ from esdscan.cli import build_parser, main
 from esdscan.spectra import scan_grid
 from esdscan.channels import ChannelKind
 
+from conftest import ROOT, load_script
+
 
 def run(*argv):
     return main(list(argv))
@@ -407,8 +409,7 @@ def test_oversized_grids_rejected_before_allocation():
         assert proc.stderr.startswith("esdscan: error: " + flag), proc.stderr
 
 
-def _script(name):
-    return os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name)
+REPRODUCE_FIGURES = (str(ROOT / "scripts" / "reproduce_figures.py"),)
 
 
 def test_reproduce_figures_steps_share_the_cli_bounds(tmp_path):
@@ -418,7 +419,7 @@ def test_reproduce_figures_steps_share_the_cli_bounds(tmp_path):
     for count in ("1", "100000000"):
         proc = _run_cli_subprocess(["--out-dir", str(out), "--steps", count],
                                    limit_bytes=512 << 20,
-                                   program=(_script("reproduce_figures.py"),))
+                                   program=REPRODUCE_FIGURES)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert (f"argument --steps: must be an integer from 2 to 1000000, "
@@ -432,7 +433,7 @@ def test_reproduce_figures_writes_the_zone_table(tmp_path):
     # directory is not counted as written
     (tmp_path / "stray.txt").write_text("")
     proc = _run_cli_subprocess(["--out-dir", str(tmp_path), "--steps", "2"],
-                               program=(_script("reproduce_figures.py"),))
+                               program=REPRODUCE_FIGURES)
     assert proc.returncode == 0, proc.stderr
     table = (tmp_path / "zone_table.txt").read_text().splitlines()
     assert len(table) == 33
@@ -450,10 +451,22 @@ def test_reproduce_figures_out_dir_must_be_a_directory(tmp_path):
     taken.write_text("")
     for out in (taken, taken / "sub"):
         proc = _run_cli_subprocess(["--out-dir", str(out), "--steps", "2"],
-                                   program=(_script("reproduce_figures.py"),))
+                                   program=REPRODUCE_FIGURES)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert f"argument --out-dir: cannot create {str(out)!r}: " in proc.stderr
         assert "Traceback" not in proc.stderr
     assert taken.read_text() == ""
     assert sorted(tmp_path.iterdir()) == [taken]
+
+
+def test_benchmark_figures_workload_runs_the_scripts_commands():
+    # perfbench/workloads.py restates the figure cases and their commands
+    workloads = load_script("workloads", "perfbench")
+    figures = load_script("reproduce_figures")
+    assert workloads.PAPER_CASES == tuple(figures.CASES)
+    ops = [op for op in workloads.build("figures", 0).ops if op.kind != "compare-states"]
+    want = [argv + ["--no-manifest"] for ch, g in figures.CASES
+            for argv in (figures.sweep_argv(ch, g, 401), figures.zones_argv(ch, g))]
+    parse = build_parser().parse_args
+    assert [parse(list(op.argv)) for op in ops] == [parse(argv) for argv in want]

@@ -1,8 +1,9 @@
 """Golden CLI outputs: fixed ``--no-manifest`` runs compared with committed files.
 
-Covers ``verify-spectra`` on a 12x12 grid, ``zones`` for the 33 paper
-(channel, gamma) cases, the matching 41-point sweeps and a 21-point
-``compare-states`` table. Zone documents and
+Covers ``verify-spectra`` on a 12x12 grid, a 21-point ``compare-states``
+table and, for the 33 paper (channel, gamma) cases, the ``zones`` and
+``sweep`` commands of ``scripts/reproduce_figures.py``, which defines them;
+the sweeps run at 41 points. Zone documents and
 every non-numeric CSV field must match byte for byte. A numeric CSV field may
 move by one unit in its 9th significant digit or by 1e-14 absolute, because
 reordering a floating-point sum moves digits that are only rounding noise.
@@ -27,31 +28,14 @@ import pytest
 
 from esdscan.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import load_script
 
-FLIP_GAMMAS = (0.2, 0.4, 0.66, 0.866, 0.9666, 1.0)
-DAMPING_GAMMAS = (0.2, 0.4, 0.66, 0.866, 1.0)
-CASES = [(ch, g) for ch in ("bitflip", "phaseflip", "bitphaseflip") for g in FLIP_GAMMAS] + [
-    (ch, g) for ch in ("amplitudedamping", "phasedamping", "depolarizing") for g in DAMPING_GAMMAS
-]
+figures = load_script("reproduce_figures")
+
+GOLDEN = Path(__file__).parent / "golden"
 VERIFY_ARGV = ["verify-spectra", "--gamma-steps", "12", "--steps", "12", "--no-manifest"]
 COMPARE_STATES_ARGV = ["compare-states", "--steps", "21", "--no-manifest"]
 ABS_SLACK = 1e-14
-
-
-def _tag(channel: str, gamma: float) -> str:
-    return f"{channel}_g{gamma:g}".replace(".", "p")
-
-
-def _zones_argv(channel: str, gamma: float) -> list[str]:
-    return ["zones", "--channel", channel, "--gamma", str(gamma), "--no-manifest"]
-
-
-def _sweep_argv(channel: str, gamma: float) -> list[str]:
-    argv = ["sweep", "--channel", channel, "--gamma", str(gamma), "--steps", "41",
-            "--no-manifest"]
-    # bit-phase flip's tabulated spectra do not evaluate over most of [0, 1]
-    return argv if channel == "bitphaseflip" else argv + ["--engine", "closedform"]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -65,9 +49,10 @@ def _outputs() -> dict[str, tuple[list[str], int]]:
     """Golden file name -> (argv, expected exit code)."""
     files = {"verify_spectra.csv": (VERIFY_ARGV, 2),
              "compare_states.csv": (COMPARE_STATES_ARGV, 0)}
-    for channel, gamma in CASES:
-        files[f"zones/{_tag(channel, gamma)}.json"] = (_zones_argv(channel, gamma), 0)
-        files[f"sweep/{_tag(channel, gamma)}.csv"] = (_sweep_argv(channel, gamma), 0)
+    for channel, gamma in figures.CASES:
+        tag = figures.tag(channel, gamma)
+        files[f"zones/{tag}.json"] = (figures.zones_argv(channel, gamma) + ["--no-manifest"], 0)
+        files[f"sweep/{tag}.csv"] = (figures.sweep_argv(channel, gamma, 41) + ["--no-manifest"], 0)
     return files
 
 

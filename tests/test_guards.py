@@ -24,7 +24,6 @@ from esdscan.states import (
     check_gamma,
     mems,
     validate_density,
-    werner_concurrence_raw,
 )
 from esdscan.zonescan import SweepConfig, find_zones
 
@@ -82,9 +81,6 @@ REJECTIONS = [
     *[_case(f, g, ValueError, f"gamma must lie in [0, 1], got {g}", id=f"{f.__name__}-{g}")
       for f in (check_gamma, mems)
       for g in (NAN, INF, -INF, -0.1, 1.1, [0.5, NAN], [0.2, 1.1, 0.4])],
-    # initial-state concurrence
-    _case(werner_concurrence_raw, 1.5, ValueError, "gamma must lie in [0, 1], got 1.5",
-          id="reference-werner-1.5"),
     # strength: the non-finite message wins over the domain message
     *[_case(_strength(kind), s, ValueError,
             f"{kind.value}: strength must be finite, got {s}", id=f"{kind.value}-{s}")
@@ -273,9 +269,6 @@ def test_each_input_checked_once_per_query(monkeypatch):
     # the positivity of the input and of the evolved state, then Wootters' eigh and SVD
     assert dict(counts) == {"check_gamma": 1, "check_strength": 1, "require_finite": 2,
                             "eigvalsh": 2, "eigh": 1, "svd": 1}
-    counts.clear()
-    werner_concurrence_raw(0.5)
-    assert dict(counts) == {"check_gamma": 1}
 
 
 def test_find_zones_checks_gamma_once_per_evaluation(monkeypatch):

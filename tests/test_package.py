@@ -19,7 +19,7 @@ def test_all_names_every_import_and_the_version():
     imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     assert sorted(esdscan.__all__) == sorted(["__version__", *imported])
-    assert len(esdscan.__all__) == 27
+    assert len(esdscan.__all__) == 26
 
 
 def test_the_package_holds_six_modules():

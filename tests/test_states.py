@@ -9,7 +9,6 @@ from esdscan.states import (
     mems,
     validate_density,
     werner,
-    werner_concurrence_raw,
 )
 
 gammas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -79,19 +78,6 @@ def test_validate_density_hermiticity_violation():
 
 def test_reference_concurrence_values():
     assert concurrence(mems(0.2)) == pytest.approx(0.2)
-    assert max(0.0, werner_concurrence_raw(0.5)) == pytest.approx(0.25)
-    assert max(0.0, werner_concurrence_raw(0.2)) == 0.0
-    assert werner_concurrence_raw(0.2) == pytest.approx(-0.2)
-
-
-def test_reference_matches_computed_on_grid():
-    grid = np.linspace(0, 1, 101)
-    c_mems = concurrence(mems(grid))
-    c_werner = concurrence(werner(grid))
-    assert np.max(np.abs(c_mems - grid)) < 1e-9
-    assert np.max(np.abs(c_werner - np.maximum(0.0, werner_concurrence_raw(grid)))) < 1e-9
-    # the mixed-state family is always at least as entangled as Werner
-    assert np.all(c_mems - c_werner >= -1e-12)
 
 
 @given(gammas)

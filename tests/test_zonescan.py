@@ -18,6 +18,7 @@ from esdscan.zonescan import (
 )
 
 from _oracles import amplitude_damping_death, zones_ref
+from conftest import load_script
 
 
 def cfg(kind, gamma, **kw):
@@ -183,10 +184,7 @@ class TestFindZones:
                 assert abs(zn.rebirth - zc.rebirth) <= 1e-5
 
 
-FLIP_GAMMAS = (0.2, 0.4, 0.66, 0.866, 0.9666, 1.0)
-DAMPING_GAMMAS = (0.2, 0.4, 0.66, 0.866, 1.0)
-PAPER_CASES = [(kind, g, {}) for kind in ChannelKind
-               for g in (FLIP_GAMMAS if kind.is_flip else DAMPING_GAMMAS)]
+PAPER_CASES = [(ChannelKind(ch), g, {}) for ch, g in load_script("reproduce_figures").CASES]
 EDGE_CASES = [
     *[(ChannelKind.BIT_FLIP, 0.2, {"grid_points": n}) for n in (2, 3, 2000, 2001)],
     (ChannelKind.AMPLITUDE_DAMPING, 0.0, {}),  # dead over the whole domain
