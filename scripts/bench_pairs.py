@@ -113,6 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     opts = p.parse_args(argv)
     if opts.pairs < 1:
         p.error("--pairs must be >= 1")
+    if opts.layer and not opts.trace:
+        p.error("--layer needs --trace 1")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=opts.work_dir) as tmp:
         snapshots = {side: Path(tmp) / "snapshot" / side for side in SIDES}
@@ -133,10 +135,10 @@ def main(argv: list[str] | None = None) -> int:
                     units[name] = m["unit"]
                     runs.setdefault(name, {s: [] for s in SIDES})[side].append(m["value"])
             shown = {name: [r[s][-1] for s in SIDES] for name, r in runs.items()
-                     if opts.trace == 0 or not opts.layer or name in opts.layer}
+                     if not opts.layer or name in opts.layer}
             print(f"pair {i + 1}/{opts.pairs} ({order[0]} first): parent, change = "
                   + json.dumps(shown), file=sys.stderr)
-            names = opts.layer if opts.trace and opts.layer else list(runs)
+            names = opts.layer or list(runs)
             if unknown := [name for name in names if name not in runs]:
                 raise SystemExit(f"no such metric in the results: {', '.join(unknown)}")
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written the slow, obvious way (explicit kron
-loops, X-block pair formulas) so it shares no code path with the package.
-The eigen solvers at the end (``eig4``, ``charpoly4``, ``durand_kerner`` and
-the direct eigenvalue route to the concurrence) serve only as cross-checks.
+loops, X-block pair formulas) so it shares no code path with the package: it
+imports nothing from ``esdscan``. The direct eigenvalue route to the
+concurrence at the end cross-checks the package's singular-value route.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ def mems_ref(gamma: float) -> np.ndarray:
 
 
 def kraus_ref(kind: str, s: float) -> list[np.ndarray]:
+    """The Kraus matrices of Nielsen & Chuang sec. 8.3, written out one by one."""
     if kind == "bitflip":
         return [np.sqrt(s) * I2, np.sqrt(1 - s) * SX]
     if kind == "phaseflip":
@@ -126,125 +127,17 @@ def zones_ref(evaluate, lo: float, hi: float, points: int, refine_tol: float,
     return zones
 
 
-# ------------------------------------------------ cross-check eigen solvers
+# ------------------------------------------------ direct eigenvalue route
 
-# Absolute accuracy demanded of the 4x4 eigensolver for unit-magnitude entries.
-EIG_TOL = 1e-11
 # Integrity guards on the direct eigenvalue route.
 IM_TOL = 1e-8
 NEG_TOL = 1e-8
-
-DK_MAX_ITER = 500
-# Durand-Kerner stopping thresholds, relative to the Cauchy root bound.
-DK_MOVE_TOL = 1e-14
-DK_STALL_TOL = 1e-10
 
 SPIN_FLIP_YY = np.kron(SY, SY).real
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue / root iteration failed, or its spectrum failed a guard."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-def _require_finite(m: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ValueError("input contains non-finite entries")
-    return m
-
-
-def eig4(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 4x4 complex matrix (multiset semantics, unordered).
-
-    Backed by the LAPACK QR iteration, which is backward stable on the matrix
-    itself; degenerate but semisimple eigenvalues keep full absolute accuracy,
-    which a characteristic-polynomial route cannot achieve.
-    """
-    m = _require_finite(np.asarray(m, dtype=complex))
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def charpoly4(m: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients (degree-descending, length 5).
-
-    Faddeev-LeVerrier recursion; exact for integer-valued inputs.
-    """
-    m = _require_finite(np.asarray(m, dtype=complex))
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    coeffs = [1.0 + 0j]
-    n = np.eye(4, dtype=complex)
-    for k in range(1, 5):
-        mn = m @ n
-        a_k = -np.trace(mn) / k
-        coeffs.append(a_k)
-        n = mn + a_k * np.eye(4, dtype=complex)
-    return np.array(coeffs)
-
-
-def durand_kerner(
-    coeffs: np.ndarray,
-    max_iter: int = DK_MAX_ITER,
-    move_tol: float = DK_MOVE_TOL,
-) -> np.ndarray:
-    """All roots of a polynomial by simultaneous Weierstrass iteration.
-
-    ``coeffs`` are degree-descending. Exactly-zero trailing coefficients are
-    deflated first (each contributes an exact zero root); a double root at the
-    origin is otherwise only recoverable to ~sqrt(ulp).
-
-    The iteration stops once every root moves less than ``move_tol`` times
-    the Cauchy root bound ``1 + max|c_i|``, or once the largest step, already
-    below ``DK_STALL_TOL`` times that bound, stops shrinking: Horner rounding
-    then sets the step size, and further iterations only bounce. Steps at a
-    root of multiplicity m stay near ulp^(1/m), above that bound for m >= 2.
-
-    Raises
-    ------
-    SolverError
-        If the iteration cap is hit before either stopping rule holds;
-        carries the worst polynomial residual.
-    """
-    c = _require_finite(np.asarray(coeffs, dtype=complex).ravel())
-    if c.size == 0 or c[0] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    c = c / c[0]
-
-    zeros = 0
-    while c.size > 1 and c[-1] == 0:
-        c = c[:-1]
-        zeros += 1
-    degree = c.size - 1
-    exact = np.zeros(zeros, dtype=complex)
-    if degree == 0:
-        return exact
-
-    radius = 1.0 + float(np.max(np.abs(c)))
-    angles = 2j * np.pi * np.arange(degree) / degree + 0.4j
-    roots = radius * np.exp(angles)
-
-    previous = np.inf
-    for _ in range(max_iter):
-        values = np.polyval(c, roots)
-        diffs = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        denom = np.prod(diffs, axis=1)
-        step = values / denom
-        roots = roots - step
-        moved = float(np.max(np.abs(step)))
-        if moved < move_tol * radius or previous <= moved < DK_STALL_TOL * radius:
-            return np.concatenate([roots, exact])
-        previous = moved
-    residual = float(np.max(np.abs(np.polyval(c, roots))))
-    raise SolverError(
-        f"Durand-Kerner stalled after {max_iter} iterations", residual=residual
-    )
+    """The spectrum of rho * rho^f failed a guard."""
 
 
 def concurrence_eig_route(rho: np.ndarray) -> float:
@@ -256,7 +149,7 @@ def concurrence_eig_route(rho: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     flipped = SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY
-    lam = eig4(rho @ flipped)
+    lam = np.linalg.eigvals(rho @ flipped)
     worst_im = float(np.max(np.abs(lam.imag)))
     if worst_im > IM_TOL:
         raise SolverError(f"eigenvalue imaginary part {worst_im:.3e} above {IM_TOL}")

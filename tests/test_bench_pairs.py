@@ -37,3 +37,16 @@ def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, cap
     with pytest.raises(SystemExit):
         bench_pairs.main(["--help"])
     assert "BENCHMARK.json run_seconds, 7" in " ".join(capsys.readouterr().out.split())
+
+
+def test_layer_without_trace_is_rejected_before_any_copy(monkeypatch, capsys):
+    # --layer names per-layer metrics, which only --trace 1 reports
+    def copy_parent(rev, dest):
+        raise AssertionError("copied the parent before checking the arguments")
+
+    monkeypatch.setattr(bench_pairs, "copy_parent", copy_parent)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--workload", "figures", "--trace", "0",
+                          "--layer", "cli.main.self_s"])
+    assert exit_info.value.code == 2
+    assert "--layer needs --trace 1" in capsys.readouterr().err

@@ -7,8 +7,6 @@ from esdscan.channels import (
     COMPLETENESS_TOL,
     I2,
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     ChannelKind,
     apply_product,
     apply_product_channel,
@@ -37,24 +35,6 @@ def test_completeness_across_domain(kind):
     assert check_completeness(ops) <= COMPLETENESS_TOL
 
 
-def textbook_set(kind, s):
-    """The Kraus matrices of Nielsen & Chuang sec. 8.3, written out one by one."""
-    if kind.is_flip:
-        pauli = {ChannelKind.BIT_FLIP: PAULI_X, ChannelKind.PHASE_FLIP: PAULI_Z,
-                 ChannelKind.BIT_PHASE_FLIP: PAULI_Y}[kind]
-        return [np.sqrt(s) * I2, np.sqrt(1 - s) * pauli]
-    eta = np.exp(-s)
-    if kind is ChannelKind.AMPLITUDE_DAMPING:
-        return [np.array([[1, 0], [0, np.sqrt(eta)]], dtype=complex),
-                np.array([[0, np.sqrt(1 - eta)], [0, 0]], dtype=complex)]
-    if kind is ChannelKind.PHASE_DAMPING:
-        return [np.sqrt(eta) * I2,
-                np.array([[np.sqrt(1 - eta), 0], [0, 0]], dtype=complex),
-                np.array([[0, 0], [0, np.sqrt(1 - eta)]], dtype=complex)]
-    r = np.sqrt((1 - eta) / 3)
-    return [np.sqrt(eta) * I2, r * PAULI_X, r * PAULI_Y, r * PAULI_Z]
-
-
 def _same_bits(a, b):
     """Equal values and equal zero signs, entry by entry."""
     return (np.array_equal(a, b)
@@ -67,12 +47,12 @@ def test_kraus_operators_are_the_textbook_sets(kind):
     for s in (0.0, 0.3, far_end):
         ours = kraus_operators(kind, s)
         assert ours.dtype == complex
-        assert _same_bits(ours, np.stack(textbook_set(kind, s)))
+        assert _same_bits(ours, np.stack(kraus_ref(kind.value, s)))
     grid = np.linspace(0.0, 1.0, 63).reshape(7, 9)
     stacked = kraus_operators(kind, grid)
     assert stacked.shape[:2] == (7, 9)
     for idx in np.ndindex(7, 9):
-        assert _same_bits(stacked[idx], np.stack(textbook_set(kind, grid[idx])))
+        assert _same_bits(stacked[idx], np.stack(kraus_ref(kind.value, grid[idx])))
 
 
 def test_completeness_diagnostics():
