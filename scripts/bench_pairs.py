@@ -98,17 +98,22 @@ def summarize(unit: str, runs: dict, trace: bool) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_bytes())
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", default="HEAD", help="revision the change is compared with")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, metavar="NAME",
+                   choices=[w["name"] for w in bench["workloads"]],
+                   help="a BENCHMARK.json workload")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds, %(default)s",
-                   default=json.loads((ROOT / "BENCHMARK.json").read_bytes())["run_seconds"])
+                   default=bench["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--layer", action="append",
-                   help="with --trace 1, a per-layer metric to report (default: all)")
+    p.add_argument("--layer", action="append", metavar="NAME",
+                   choices=[m["name"] for m in bench["per_layer"]],
+                   help="with --trace 1, a BENCHMARK.json per-layer metric to report "
+                        "(default: all)")
     p.add_argument("--work-dir", help="where the two copies are made (default: a temp dir)")
     opts = p.parse_args(argv)
     if opts.pairs < 1:
@@ -138,14 +143,11 @@ def main(argv: list[str] | None = None) -> int:
                      if not opts.layer or name in opts.layer}
             print(f"pair {i + 1}/{opts.pairs} ({order[0]} first): parent, change = "
                   + json.dumps(shown), file=sys.stderr)
-            names = opts.layer or list(runs)
-            if unknown := [name for name in names if name not in runs]:
-                raise SystemExit(f"no such metric in the results: {', '.join(unknown)}")
 
     entry = {"workload": opts.workload, "seed": opts.seed, "pairs": opts.pairs,
              "all_correct": correct, "parent_rev": opts.parent, "seconds": opts.seconds,
              "trace": opts.trace, "machine": machine}
-    for name in names:
+    for name in opts.layer or runs:
         entry[name] = summarize(units[name], runs[name], bool(opts.trace))
     print(json.dumps(entry))
     return 0

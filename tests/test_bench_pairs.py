@@ -32,7 +32,8 @@ def test_summarize_two_pairs():
 
 def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, capsys):
     # the default follows BENCHMARK.json, not a restated number
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_bytes())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({**bench, "run_seconds": 7}))
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     with pytest.raises(SystemExit):
         bench_pairs.main(["--help"])
@@ -40,13 +41,19 @@ def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, cap
 
 
 def test_layer_without_trace_is_rejected_before_any_copy(monkeypatch, capsys):
-    # --layer names per-layer metrics, which only --trace 1 reports
+    # --layer names per-layer metrics, which only --trace 1 reports; a name that
+    # BENCHMARK.json does not declare is refused as early
     def copy_parent(rev, dest):
         raise AssertionError("copied the parent before checking the arguments")
 
     monkeypatch.setattr(bench_pairs, "copy_parent", copy_parent)
-    with pytest.raises(SystemExit) as exit_info:
-        bench_pairs.main(["--workload", "figures", "--trace", "0",
-                          "--layer", "cli.main.self_s"])
-    assert exit_info.value.code == 2
-    assert "--layer needs --trace 1" in capsys.readouterr().err
+    for args, message in (
+            (["--workload", "figures", "--trace", "0", "--layer", "cli.main.self_s"],
+             "--layer needs --trace 1"),
+            (["--workload", "figures", "--trace", "1", "--layer", "cli.main.self"],
+             "argument --layer: invalid choice: 'cli.main.self'"),
+            (["--workload", "figure"], "argument --workload: invalid choice: 'figure'")):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(args)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err

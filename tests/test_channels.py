@@ -14,7 +14,7 @@ from esdscan.channels import (
     kraus_operators,
     kraus_set,
 )
-from esdscan.states import HERM_TOL, mems, validate_density, werner
+from esdscan.states import mems, validate_density, werner
 
 from _oracles import evolve_ref, kraus_ref, mems_ref
 
@@ -157,18 +157,6 @@ def test_single_state_route_is_the_stacked_route_bit_for_bit(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_evolution_preserves_state_invariants(kind):
-    gammas = np.linspace(0, 1, 21)[:, None]
-    strengths = np.linspace(0, 1, 50)[None, :]
-    rho = apply_product(mems(gammas + 0 * strengths),
-                        kraus_operators(kind, strengths + 0 * gammas))
-    traces = np.trace(rho, axis1=-2, axis2=-1)
-    assert np.max(np.abs(traces - 1)) < 1e-12
-    assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) < HERM_TOL
-    assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_evolution_preserves_x_structure(kind):
     gammas = np.linspace(0, 1, 21)[:, None]
     strengths = np.linspace(0, 1, 50)[None, :]
@@ -236,29 +224,6 @@ def test_completeness_property(kind, strength):
     assert check_completeness(kraus_operators(kind, strength)) <= COMPLETENESS_TOL
 
 
-@pytest.mark.parametrize("kind,bad", [
-    (ChannelKind.BIT_FLIP, -0.01),
-    (ChannelKind.PHASE_FLIP, 1.01),
-    (ChannelKind.BIT_PHASE_FLIP, np.nan),
-    (ChannelKind.AMPLITUDE_DAMPING, -0.5),
-    (ChannelKind.DEPOLARIZING, np.inf),
-])
-def test_strength_domain_errors(kind, bad):
-    with pytest.raises(ValueError):
-        kraus_set(kind, bad)
-
-
-def test_apply_product_channel_enforces_completeness():
-    with pytest.raises(ValueError, match="completeness"):
-        apply_product_channel(mems(0.5), np.stack([I2, I2]))
-
-
 def test_apply_product_channel_output_validates():
     out = apply_product_channel(mems(0.8), kraus_set(ChannelKind.DEPOLARIZING, 0.3))
     validate_density(out)
-
-
-def test_operator_counts():
-    assert kraus_set(ChannelKind.BIT_FLIP, 0.2).shape == (2, 2, 2)
-    assert kraus_set(ChannelKind.PHASE_DAMPING, 0.2).shape == (3, 2, 2)
-    assert kraus_set(ChannelKind.DEPOLARIZING, 0.2).shape == (4, 2, 2)

@@ -81,34 +81,6 @@ def test_zones_json_document(tmp_path):
     assert zone["touch"] is False
 
 
-def test_zones_touch_flag(tmp_path):
-    out = tmp_path / "z.json"
-    assert run("zones", "--channel", "phaseflip", "--gamma", "0.2",
-               "--out", str(out)) == 0
-    [zone] = parse_zones(out.read_text())["zones"]
-    assert zone["touch"] is True
-
-
-def test_manifest_header_present_and_absent(tmp_path):
-    out = tmp_path / "a.csv"
-    run("compare-states", "--steps", "3", "--out", str(out))
-    text = out.read_text()
-    assert text.startswith("# command: compare-states")
-    assert "# tool_version:" in text and "# timestamp:" in text
-    run("compare-states", "--steps", "3", "--out", str(out), "--no-manifest")
-    assert not out.read_text().startswith("#")
-
-
-def test_repeat_runs_byte_identical(tmp_path):
-    pairs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / f"{name}.csv"
-        run("sweep", "--channel", "depolarizing", "--gamma", "0.3",
-            "--steps", "51", "--out", str(out), "--no-manifest")
-        pairs.append(out.read_bytes())
-    assert pairs[0] == pairs[1]
-
-
 def test_cached_parser_carries_nothing_between_calls(capsys):
     # main reuses one parser per process; every argv must read the same
     # whatever ran before it
@@ -137,15 +109,6 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
     assert forward["zones --channel nope --gamma 0.2"][0] == 1
     assert forward[" ".join(sweep)][1].splitlines()[0] == "strength,concurrence_numeric"
     assert forward[" ".join(zones)] == outputs([[*zones, "--steps", "2001"]]).popitem()[1]
-
-
-def test_plot_script_references_csv(tmp_path):
-    out = tmp_path / "fig1.csv"
-    script = tmp_path / "fig1.gp"
-    run("compare-states", "--out", str(out), "--plot-script", str(script))
-    text = script.read_text()
-    assert "'fig1.csv'" in text
-    assert "plot" in text
 
 
 MANIFEST_CASES = [

@@ -1,5 +1,8 @@
 """The input guards: which bad input raises what, which rule wins when two break,
-and that each input of a query is checked once."""
+and that each input of a query is checked once.
+
+``REJECTIONS`` is the single place for rejection cases: a bad input that some
+function must refuse gets a row here, with its exact message, and nowhere else."""
 
 import sys
 from collections import Counter
@@ -24,6 +27,7 @@ from esdscan.states import (
     check_gamma,
     mems,
     validate_density,
+    werner,
 )
 from esdscan.zonescan import SweepConfig, find_zones
 
@@ -68,8 +72,12 @@ def _strength(kind):
     return lambda s: check_strength(kind, s)
 
 
-def _grid_points(n):
-    return SweepConfig(kind=FLIP, gamma=0.2, grid_points=n)
+def _kraus_set(kind):
+    return lambda s: kraus_set(kind, s)
+
+
+def _sweep(kw):
+    return SweepConfig(**{"kind": FLIP, "gamma": 0.2, **kw})
 
 
 def _case(call, arg, exc, message, deviation=None, *, id):
@@ -79,7 +87,7 @@ def _case(call, arg, exc, message, deviation=None, *, id):
 REJECTIONS = [
     # gamma: one domain message for every bad value
     *[_case(f, g, ValueError, f"gamma must lie in [0, 1], got {g}", id=f"{f.__name__}-{g}")
-      for f in (check_gamma, mems)
+      for f in (check_gamma, mems, werner)
       for g in (NAN, INF, -INF, -0.1, 1.1, [0.5, NAN], [0.2, 1.1, 0.4])],
     # strength: the non-finite message wins over the domain message
     *[_case(_strength(kind), s, ValueError,
@@ -92,6 +100,14 @@ REJECTIONS = [
     _case(_strength(DAMP), -1.0, ValueError,
           "amplitudedamping: damping exponent must be >= 0, got -1.0",
           id="amplitudedamping--1"),
+    # kraus_set checks its strength the same way, for every kind of channel
+    *[_case(_kraus_set(kind), s, ValueError, f"{kind.value}: {rule}, got {s}",
+            id=f"kraus-set-{kind.value}-{s}")
+      for kind, s, rule in ((FLIP, -0.01, "p must lie in [0, 1]"),
+                            (ChannelKind.PHASE_FLIP, 1.01, "p must lie in [0, 1]"),
+                            (ChannelKind.BIT_PHASE_FLIP, NAN, "strength must be finite"),
+                            (DAMP, -0.5, "damping exponent must be >= 0"),
+                            (ChannelKind.DEPOLARIZING, INF, "strength must be finite"))],
     # channel kind: a ChannelKind, not its value, checked before any formula runs
     *[_case(call, kind, TypeError, f"kind must be a ChannelKind, got {kind!r}",
             id=f"kind-{label}")
@@ -196,6 +212,15 @@ REJECTIONS = [
       for lam in ([0.25, 0.01], [0.3, 0.01, 0, 0, 0], [])],
     _case(concurrence_from_spectrum, [NAN, 0.01], ValueError,
           "spectrum contains non-finite entries", id="spectrum-nan-before-count"),
+    # ... and the tabulated spectra raise a domain error, not a formula failure
+    *[_case(lambda args: closed_form_spectrum(*args), args, ValueError, message,
+            id=f"closed-form-{label}")
+      for args, message, label in (
+          ((FLIP, 1.2, 0.5), "gamma must lie in [0, 1], got 1.2", "gamma-1.2"),
+          ((FLIP, NAN, 0.5), "gamma must lie in [0, 1], got nan", "gamma-nan"),
+          ((FLIP, 0.5, 1.5), "bitflip: p must lie in [0, 1], got 1.5", "bitflip-1.5"),
+          ((DAMP, 0.5, -0.5), "amplitudedamping: damping exponent must be >= 0, got -0.5",
+           "amplitudedamping--0.5"))],
     # the spectrum comparer's axes: each one 1-D and non-empty
     *[_case(lambda g: scan_grid(FLIP, g, [0.1, 0.2]), g, ValueError,
             f"gammas must be 1-D and non-empty, got shape {np.shape(g)}",
@@ -206,17 +231,30 @@ REJECTIONS = [
             id=f"scan-strengths-{label}")
       for s, label in ((0.1, "scalar"), ([[0.1]], "2-D"), ([], "empty"))],
     # sweep grids: an integer count, then at least two points
-    *[_case(_grid_points, n, ValueError, f"grid_points must be an integer, got {n!r}",
+    *[_case(_sweep, {"grid_points": n}, ValueError, f"grid_points must be an integer, got {n!r}",
             id=f"grid-points-{n}") for n in (2.5, True, "11")],
-    _case(_grid_points, 1, ValueError, "grid_points must be >= 2", id="grid-points-1"),
+    _case(_sweep, {"grid_points": 1}, ValueError, "grid_points must be >= 2",
+          id="grid-points-1"),
     # a sweep has one gamma and one strength interval
-    *[_case(lambda kw: SweepConfig(kind=FLIP, **{"gamma": 0.2, **kw}), kw, ValueError,
+    *[_case(_sweep, kw, ValueError,
             f"{name} must be a scalar, got shape {np.shape(value)}", id=f"sweep-{label}")
       for kw, label in (({"gamma": [0.2, 0.3]}, "gamma-list"),
                         ({"gamma": np.array([0.2])}, "gamma-array"),
                         ({"strength_min": np.array([0.0, 0.1])}, "strength-min-array"),
                         ({"strength_max": [[1.0]]}, "strength-max-2-D"))
       for name, value in kw.items()],
+    # ... in its domain, with an ordered strength interval and a usable tolerance
+    *[_case(_sweep, kw, ValueError, message, id=f"sweep-{label}")
+      for kw, message, label in (
+          ({"gamma": 1.5}, "gamma must lie in [0, 1], got 1.5", "gamma-1.5"),
+          ({"strength_min": 0.7, "strength_max": 0.2},
+           "strength_min must be below strength_max", "strength-interval"),
+          ({"strength_max": 1.4}, "bitflip: p must lie in [0, 1], got (0.0, 1.4)",
+           "strength-max-1.4"),
+          ({"kind": DAMP, "strength_max": INF},
+           "amplitudedamping: strength must be finite, got (0.0, inf)", "strength-max-inf"),
+          *[({"refine_tol": tol}, f"refine_tol must be finite and positive, got {tol}",
+             f"refine-tol-{tol}") for tol in (NAN, INF)])],
 ]
 
 
@@ -226,7 +264,8 @@ def test_guard_rejections(call, arg, exc, message, deviation):
         call(arg)
     assert type(err.value) is exc
     assert str(err.value) == message
-    if deviation is not None:
+    if deviation is not None:  # a DensityMatrixError names its violation
+        assert err.value.violation == message.split()[0]
         assert err.value.deviation == pytest.approx(deviation)
 
 

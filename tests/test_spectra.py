@@ -10,7 +10,7 @@ from esdscan.spectra import (
     scan_grid,
 )
 
-from _oracles import evolve_ref, kraus_ref, mems_ref, xblock_spectrum
+from _oracles import SPIN_FLIP_YY, evolve_ref, kraus_ref, mems_ref, xblock_spectrum
 
 CONSISTENT = (
     ChannelKind.BIT_FLIP,
@@ -52,16 +52,6 @@ def test_concurrence_from_spectrum_examples():
     assert concurrence_from_spectrum(undisturbed) == pytest.approx(0.2, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", list(ChannelKind))
-def test_identity_strength_restores_gamma(kind):
-    strength = 1.0 if kind.is_flip else 0.0
-    for g in CASE1:
-        c = concurrence_from_spectrum(closed_form_spectrum(kind, g, strength))
-        assert c == pytest.approx(g, abs=1e-10)
-        c_num = concurrence_from_spectrum(numeric_spectrum(kind, g, strength))
-        assert c_num == pytest.approx(g, abs=1e-10)
-
-
 @pytest.mark.parametrize("kind", [ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP])
 def test_flip_spectra_symmetric_in_p(kind):
     for g in (0.1, 0.45, 0.62):
@@ -80,29 +70,21 @@ def test_closed_form_matches_pipeline_below_branch_point(kind):
         assert np.max(np.abs(closed - numeric)) < 1e-10
 
 
-@pytest.mark.parametrize("kind", list(ChannelKind))
-def test_numeric_spectrum_sums_to_trace(kind):
-    for g in (0.0, 0.3, 0.8, 1.0):
-        for s in (0.2, 0.9):
-            lam = numeric_spectrum(kind, g, s)
-            rho = evolve_ref(mems_ref(g), kraus_ref(kind.value, s))
-            yy = np.zeros((4, 4))
-            yy[0, 3] = yy[3, 0] = -1
-            yy[1, 2] = yy[2, 1] = 1
-            product = rho @ (yy @ rho.conj() @ yy)
-            assert np.sum(lam) == pytest.approx(np.trace(product).real, abs=1e-9)
+# the numeric spectra on every channel; the tabulated ones below the branch point
+SUMS_TO_TRACE = [
+    *[(numeric_spectrum, kind, (0.0, 0.3, 0.8, 1.0), (0.2, 0.9)) for kind in ChannelKind],
+    *[(closed_form_spectrum, kind, (0.1, 0.5, 0.65), (0.25, 0.75)) for kind in CONSISTENT],
+]
 
 
-@pytest.mark.parametrize("kind", CONSISTENT)
-def test_closed_form_sums_to_trace_below_branch_point(kind):
-    for g in (0.1, 0.5, 0.65):
-        for s in (0.25, 0.75):
-            lam = closed_form_spectrum(kind, g, s)
+@pytest.mark.parametrize("spectrum, kind, gammas, strengths", SUMS_TO_TRACE,
+                         ids=[f"{f.__name__}-{kind.value}" for f, kind, *_ in SUMS_TO_TRACE])
+def test_spectrum_sums_to_trace(spectrum, kind, gammas, strengths):
+    for g in gammas:
+        for s in strengths:
             rho = evolve_ref(mems_ref(g), kraus_ref(kind.value, s))
-            yy = np.zeros((4, 4))
-            yy[0, 3] = yy[3, 0] = -1
-            yy[1, 2] = yy[2, 1] = 1
-            product = rho @ (yy @ rho.conj() @ yy)
+            product = rho @ (SPIN_FLIP_YY @ rho.conj() @ SPIN_FLIP_YY)
+            lam = spectrum(kind, g, s)
             assert np.sum(lam) == pytest.approx(np.trace(product).real, abs=1e-9)
 
 
@@ -200,17 +182,3 @@ def test_axis_grids_equal_materialised_grids(kind):
                         (closed_form_spectrum, np.linspace(0.35, 0.65, 7))):
         gg, ss = np.broadcast_arrays(g[:, None], s)
         assert np.array_equal(spectrum(kind, g[:, None], s), spectrum(kind, gg, ss))
-
-
-def test_gamma_domain_checked():
-    with pytest.raises(ValueError):
-        closed_form_spectrum(ChannelKind.BIT_FLIP, 1.2, 0.5)
-    # a domain error, not a formula failure: the exact type is ValueError
-    for kind, gamma, strength in [
-        (ChannelKind.BIT_FLIP, np.nan, 0.5),
-        (ChannelKind.BIT_FLIP, 0.5, 1.5),
-        (ChannelKind.AMPLITUDE_DAMPING, 0.5, -0.5),
-    ]:
-        with pytest.raises(ValueError) as err:
-            closed_form_spectrum(kind, gamma, strength)
-        assert type(err.value) is ValueError
