@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NOT_PARAMETERS = {"out", "plot_script", "no_manifest", "func"}
-_MAX_CELLS = 10**6  # grid cells evaluated per call; about 1.3 KiB of peak memory each
+_MAX_CELLS = 10**6  # grid points per sweep (~0.9 KiB each) or cells per verify-spectra channel
+_BLOCK_CELLS = 1000  # cells per verify-spectra tile (~1.3 KiB each); a thread scans one at a time
 
 
 def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
@@ -163,14 +165,27 @@ def _cmd_verify_spectra(args) -> int:
         "cf_lambda1,cf_lambda2,cf_lambda3,cf_lambda4,"
         "num_lambda1,num_lambda2,num_lambda3,num_lambda4"
     ]
-    total = 0
-    for kind in kinds:
-        records = scan_grid(kind, gammas, strengths)
-        total += len(records)
-        row = kind.value + f",{_NUMBER}" * 11
-        rows.extend(row % tuple(r) for r in records.tolist())
-        print(f"{kind.value}: {len(records)} discrepant cells of "
-              f"{len(gammas) * len(strengths)}", file=sys.stderr)
+    # tiles in (gamma, strength) order, whole rows or pieces of one row, on one
+    # thread per usable CPU: numpy's batched eigh and svd release the GIL
+    n_rows, n_cols = max(1, _BLOCK_CELLS // len(strengths)), min(len(strengths), _BLOCK_CELLS)
+    tiles = [(gammas[i:i + n_rows], strengths[j:j + n_cols])
+             for i in range(0, len(gammas), n_rows) for j in range(0, len(strengths), n_cols)]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    from concurrent.futures import ThreadPoolExecutor  # lazy: only this command needs it
+    pool = ThreadPoolExecutor(workers)
+    try:
+        jobs = [[pool.submit(scan_grid, kind, g, s) for g, s in tiles] for kind in kinds]
+        total = 0
+        for kind, channel_jobs in zip(kinds, jobs):
+            row, before = kind.value + f",{_NUMBER}" * 11, total
+            for records in (job.result() for job in channel_jobs):
+                if len(records):
+                    rows.append("\n".join([row] * len(records)) % tuple(records.ravel().tolist()))
+                total += len(records)
+            print(f"{kind.value}: {total - before} discrepant cells of "
+                  f"{len(gammas) * len(strengths)}", file=sys.stderr)
+    finally:  # a failed tile ends the run: the tiles not yet started are cancelled
+        pool.shutdown(cancel_futures=True)
     _write(args, rows)
     return EXIT_DISCREPANCIES if total else EXIT_OK
 

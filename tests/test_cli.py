@@ -5,12 +5,15 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from esdscan import __version__
+from esdscan import cli
 from esdscan.cli import build_parser, main
+from esdscan.concurrence import IntegrityError
 from esdscan.spectra import scan_grid
 from esdscan.channels import ChannelKind
 
@@ -242,6 +245,74 @@ def test_verify_spectra_clean_channel_region(tmp_path):
                "--no-manifest")
     rows = parse_csv(out.read_text())
     assert all(float(r["gamma"]) > 2 / 3 for r in rows)
+
+
+VERIFY_SMALL = ["verify-spectra", "--gamma-steps", "7", "--steps", "5", "--no-manifest"]
+
+
+@pytest.mark.parametrize("layout", ["1-cell tiles", "ragged rows", "ragged row pieces",
+                                    "one worker"])
+def test_verify_spectra_bytes_do_not_depend_on_tiles_or_workers(layout, monkeypatch,
+                                                                capsys):
+    assert run(*VERIFY_SMALL) == 2
+    default = capsys.readouterr()
+    calls = []  # (kind, cells) of every scan, from any thread: list.append is atomic
+
+    def recording(kind, gammas, strengths):
+        calls.append((kind, len(gammas) * len(strengths)))
+        return scan_grid(kind, gammas, strengths)
+
+    monkeypatch.setattr(cli, "scan_grid", recording)
+    if layout == "1-cell tiles":
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+    elif layout == "ragged rows":  # 3 rows of 5 cells, so tiles of 3, 3 and 1 rows
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 15)
+    elif layout == "ragged row pieces":  # each row in pieces of 3 and 2 cells
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run(*VERIFY_SMALL) == 2
+    captured = capsys.readouterr()
+    assert captured.out == default.out
+    assert captured.err == default.err
+    scanned = {kind: sum(n for k, n in calls if k is kind) for kind in ChannelKind}
+    assert scanned == dict.fromkeys(ChannelKind, 7 * 5)  # every cell scanned exactly once
+
+
+@pytest.mark.parametrize("error, outcome, last_line", [
+    (IntegrityError("state has eigenvalue -1.000e-06, below -1e-08"), 3,
+     "esdscan: numerical failure: state has eigenvalue -1.000e-06, below -1e-08\n"),
+    (ValueError("a failing tile"), 1, "esdscan: error: a failing tile\n"),
+    (RuntimeError("a failing tile"), RuntimeError, ""),
+    (KeyboardInterrupt(), KeyboardInterrupt, ""),
+], ids=["IntegrityError", "ValueError", "RuntimeError", "KeyboardInterrupt"])
+def test_verify_spectra_failed_tile_ends_the_run(error, outcome, last_line, tmp_path,
+                                                 monkeypatch, capsys):
+    assert run(*VERIFY_SMALL) == 2
+    first_line = capsys.readouterr().err.splitlines(keepends=True)[0]
+    later = []
+
+    def failing_on_the_second_channel(kind, gammas, strengths):
+        if kind is ChannelKind.PHASE_FLIP:
+            raise error
+        if kind is not ChannelKind.BIT_FLIP:
+            later.append(kind)
+            time.sleep(0.02)
+        return scan_grid(kind, gammas, strengths)
+
+    monkeypatch.setattr(cli, "scan_grid", failing_on_the_second_channel)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)  # 35 tiles per channel, 140 after the failure
+    out = tmp_path / "v.csv"
+    if isinstance(outcome, int):
+        assert run(*VERIFY_SMALL, "--out", str(out)) == outcome
+    else:
+        with pytest.raises(outcome):
+            run(*VERIFY_SMALL, "--out", str(out))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == first_line + last_line  # the channel before the failing one only
+    assert not out.exists()
+    assert len(later) < 20  # the tiles not yet started were cancelled
 
 
 def test_exit_code_usage_errors(capsys):
