@@ -1,6 +1,5 @@
 import csv
 import io
-import json
 import os
 import resource
 import subprocess
@@ -29,11 +28,6 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO("\n".join(rows))))
 
 
-def parse_zones(text):
-    body = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
-    return json.loads(body)
-
-
 def test_compare_states_schema_and_clamp(tmp_path):
     out = tmp_path / "fig1.csv"
     assert run("compare-states", "--steps", "101", "--out", str(out)) == 0
@@ -57,31 +51,6 @@ def test_sweep_zero_gamma_is_flat_zero(tmp_path):
                "--steps", "41", "--out", str(out)) == 0
     rows = parse_csv(out.read_text())
     assert all(float(r["concurrence_numeric"]) == 0.0 for r in rows)
-
-
-def test_sweep_closedform_adds_column(tmp_path):
-    out = tmp_path / "c.csv"
-    assert run("sweep", "--channel", "phasedamping", "--gamma", "0.4",
-               "--steps", "21", "--engine", "closedform", "--out", str(out)) == 0
-    rows = parse_csv(out.read_text())
-    assert list(rows[0]) == ["strength", "concurrence_numeric", "concurrence_closed_form"]
-    for r in rows:
-        assert float(r["concurrence_numeric"]) == pytest.approx(
-            float(r["concurrence_closed_form"]), abs=1e-8
-        )
-
-
-def test_zones_json_document(tmp_path):
-    out = tmp_path / "z.json"
-    assert run("zones", "--channel", "bitflip", "--gamma", "0.2",
-               "--out", str(out)) == 0
-    doc = parse_zones(out.read_text())
-    assert set(doc) == {"channel", "gamma", "zones"}
-    assert doc["channel"] == "bitflip"
-    [zone] = doc["zones"]
-    assert zone["death"] == pytest.approx(0.049, abs=0.03)
-    assert zone["rebirth"] == pytest.approx(0.952, abs=0.03)
-    assert zone["touch"] is False
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):
@@ -201,7 +170,7 @@ def test_plot_script_must_not_overwrite_out(tmp_path, capsys, monkeypatch):
             assert not (tmp_path / "same.csv").exists()
 
 
-def test_unwritable_output_exits_1_without_traceback(tmp_path):
+def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys):
     # whichever file cannot be written, the run leaves no file behind
     missing = tmp_path / "missing"
     for argv, target in (
@@ -210,11 +179,9 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path):
              missing / "x.csv"),
             (["--out", str(tmp_path / "x.csv"), "--plot-script", str(missing / "x.gp")],
              missing / "x.gp")):
-        proc = _run_cli_subprocess(["compare-states", "--steps", "3", *argv])
-        assert proc.returncode == 1
-        assert proc.stderr == ("esdscan: error: [Errno 2] No such file or directory: "
-                               f"'{target}'\n")
-        assert "Traceback" not in proc.stderr
+        assert run("compare-states", "--steps", "3", *argv) == 1
+        assert capsys.readouterr() == (
+            "", f"esdscan: error: [Errno 2] No such file or directory: '{target}'\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -237,21 +204,10 @@ def test_verify_spectra_reports_and_exit_code(tmp_path, capsys):
     assert all(float(line.split(",")[3]) > 1e-8 for line in lines)
 
 
-def test_verify_spectra_clean_channel_region(tmp_path):
-    # a consistent channel restricted to its validity region: full agreement
-    out = tmp_path / "v.csv"
-    code = run("verify-spectra", "--channel", "phasedamping",
-               "--gamma-steps", "10", "--steps", "10", "--out", str(out),
-               "--no-manifest")
-    rows = parse_csv(out.read_text())
-    assert all(float(r["gamma"]) > 2 / 3 for r in rows)
-
-
 VERIFY_SMALL = ["verify-spectra", "--gamma-steps", "7", "--steps", "5", "--no-manifest"]
 
 
-@pytest.mark.parametrize("layout", ["1-cell tiles", "ragged rows", "ragged row pieces",
-                                    "one worker"])
+@pytest.mark.parametrize("layout", ["1-cell tiles", "ragged rows", "ragged row pieces"])
 def test_verify_spectra_bytes_do_not_depend_on_tiles_or_workers(layout, monkeypatch,
                                                                 capsys):
     assert run(*VERIFY_SMALL) == 2
@@ -267,16 +223,27 @@ def test_verify_spectra_bytes_do_not_depend_on_tiles_or_workers(layout, monkeypa
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
     elif layout == "ragged rows":  # 3 rows of 5 cells, so tiles of 3, 3 and 1 rows
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 15)
-    elif layout == "ragged row pieces":  # each row in pieces of 3 and 2 cells
+    else:  # each row in pieces of 3 and 2 cells
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 3)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run(*VERIFY_SMALL) == 2
     captured = capsys.readouterr()
     assert captured.out == default.out
     assert captured.err == default.err
     scanned = {kind: sum(n for k, n in calls if k is kind) for kind in ChannelKind}
     assert scanned == dict.fromkeys(ChannelKind, 7 * 5)  # every cell scanned exactly once
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_verify_spectra_bytes_do_not_depend_on_the_cpu_count(capsys):
+    # a child pinned to one CPU before it imports esdscan scans with one worker;
+    # 30 x 100 cells make 3 tiles per channel, so their order shows
+    argv = ["verify-spectra", "--gamma-steps", "30", "--steps", "100", "--no-manifest"]
+    assert run(*argv) == 2
+    in_process = capsys.readouterr()
+    child = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+             "from esdscan.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = _run_cli_subprocess(argv, program=("-c", child))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, *in_process)
 
 
 @pytest.mark.parametrize("error, outcome, last_line", [
@@ -393,13 +360,6 @@ def test_exit_code_integrity_failure(capsys):
         assert "is not finite at gamma=0.5, strength=" in captured.err
 
 
-def test_stdout_default(capsys):
-    assert run("zones", "--channel", "phasedamping", "--gamma", "0.5",
-               "--no-manifest") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["zones"] == []
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "esdscan.cli", "compare-states", "--steps", "3",
@@ -462,13 +422,18 @@ def test_reproduce_figures_steps_share_the_cli_bounds(tmp_path):
     assert not out.exists()
 
 
-def test_reproduce_figures_writes_the_zone_table(tmp_path):
+def reproduce_figures(monkeypatch, *argv):
+    """Run scripts/reproduce_figures.py in this process, under pytest's warning filters."""
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", *argv])
+    load_script("reproduce_figures").main()
+
+
+def test_reproduce_figures_writes_the_zone_table(tmp_path, monkeypatch, capsys):
     # the table is read back from the zone reports; a file already in the
     # directory is not counted as written
     (tmp_path / "stray.txt").write_text("")
-    proc = _run_cli_subprocess(["--out-dir", str(tmp_path), "--steps", "2"],
-                               program=REPRODUCE_FIGURES)
-    assert proc.returncode == 0, proc.stderr
+    reproduce_figures(monkeypatch, "--out-dir", str(tmp_path), "--steps", "2")
+    captured = capsys.readouterr()
     table = (tmp_path / "zone_table.txt").read_text().splitlines()
     assert len(table) == 33
     for line in ("bitflip           gamma=0.9666   zone 0.433744 -> 0.566256",
@@ -477,19 +442,28 @@ def test_reproduce_figures_writes_the_zone_table(tmp_path):
                  "phasedamping      gamma=1        no zone"):
         assert line in table
     written = len(list(tmp_path.iterdir())) - 1
-    assert proc.stdout == "\n".join([*table, f"wrote {written} files to {tmp_path}/", ""])
+    assert captured.out == "\n".join([*table, f"wrote {written} files to {tmp_path}/", ""])
+    # the script ends with verify-spectra on the default 6 x 100 x 100 grid: the
+    # repository's verdict on the tabulated spectra, in ChannelKind order
+    assert captured.err == (
+        "bitflip: 3300 discrepant cells of 10000\n"
+        "phaseflip: 3300 discrepant cells of 10000\n"
+        "bitphaseflip: 9866 discrepant cells of 10000\n"
+        "amplitudedamping: 3300 discrepant cells of 10000\n"
+        "phasedamping: 3300 discrepant cells of 10000\n"
+        "depolarizing: 9933 discrepant cells of 10000\n")
 
 
-def test_reproduce_figures_out_dir_must_be_a_directory(tmp_path):
+def test_reproduce_figures_out_dir_must_be_a_directory(tmp_path, monkeypatch, capsys):
     taken = tmp_path / "results"
     taken.write_text("")
     for out in (taken, taken / "sub"):
-        proc = _run_cli_subprocess(["--out-dir", str(out), "--steps", "2"],
-                                   program=REPRODUCE_FIGURES)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert f"argument --out-dir: cannot create {str(out)!r}: " in proc.stderr
-        assert "Traceback" not in proc.stderr
+        with pytest.raises(SystemExit) as exit_:
+            reproduce_figures(monkeypatch, "--out-dir", str(out), "--steps", "2")
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --out-dir: cannot create {str(out)!r}: " in captured.err
     assert taken.read_text() == ""
     assert sorted(tmp_path.iterdir()) == [taken]
 
