@@ -125,6 +125,13 @@ class TestCompare:
         [rec] = scan_grid(ChannelKind.DEPOLARIZING, [0.2], [0.5])
         assert rec[ERR] > 1e-3
 
+    def test_unevaluable_cell_gives_inf_record(self):
+        [rec] = scan_grid(ChannelKind.BIT_PHASE_FLIP, [0.2], [0.1])
+        assert np.all(np.isnan(rec[CF]))
+        assert rec[ERR] == np.inf
+        assert rec[[GAMMA, STRENGTH]].tolist() == [0.2, 0.1]
+        assert np.all(np.isfinite(rec[NUM]))
+
     def test_above_branch_point_disagrees(self):
         # (p = 0.5 is excluded: there the evolved state is weight-independent
         # and every closed form coincidentally agrees)
@@ -145,9 +152,6 @@ def test_scan_grid_reports_unevaluable_cells_as_inf():
     assert len(recs), "expected discrepancies"
     infs = unevaluable(recs)
     assert len(infs) and np.all(np.isinf(infs[:, ERR]))
-    # (0.2, 0.1) is among them, and the numeric spectrum is still reported
-    assert [0.2, 0.1] in infs[:, [GAMMA, STRENGTH]].tolist()
-    assert np.all(np.isfinite(infs[:, NUM]))
     # a NaN closed-form column marks exactly the rows with an infinite error
     assert np.array_equal(np.isnan(recs[:, CF]).any(axis=1), np.isinf(recs[:, ERR]))
     # deterministic (gamma, strength) ordering
