@@ -25,6 +25,7 @@ ZERO_TOL = 1e-9  # entanglement is dead where the concurrence is at or below thi
 TOUCH_WIDTH = 5e-3
 
 DEFAULT_GRID_POINTS = 2001
+LOOKAHEAD = 5  # bisection steps per evaluation: 2**LOOKAHEAD - 1 midpoints per open edge
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,11 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     """Detect maximal intervals with concurrence <= ZERO_TOL, refined by bisection.
 
     All alive/dead edges of the grid are bisected together, one evaluation per
-    step; each edge stops at ``refine_tol`` or when no float is left between
-    its brackets, whichever comes first. Zones narrower than one grid cell can
-    be missed; the default 2001-point grid keeps that risk negligible for the
-    curves considered here.
+    ``LOOKAHEAD`` steps: it scores every midpoint those steps could visit, and
+    the steps are then replayed from the scores. Each edge stops at
+    ``refine_tol`` or when no float is left between its brackets, whichever
+    comes first. Zones narrower than one grid cell can be missed; the default
+    2001-point grid keeps that risk negligible for the curves considered here.
     """
     xs, c = sample_curve(cfg)
     step = np.diff((c <= ZERO_TOL).astype(int), prepend=0, append=0)
@@ -116,14 +118,25 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     dies, revives = first[first > 0], last[last < len(xs) - 1]  # runs with a bisected edge
     lo = np.concatenate([xs[dies - 1], xs[revives + 1]])  # alive ends
     hi = np.concatenate([xs[dies], xs[revives]])  # dead ends
-    while True:  # one evaluation per step, of the midpoints still open
+    while True:  # one round of LOOKAHEAD steps per evaluation, on the edges still open
         mid = 0.5 * (lo + hi)
         todo = (np.abs(hi - lo) > cfg.refine_tol) & (mid != lo) & (mid != hi)
         if not todo.any():
             break
-        gone = _concurrence_at(cfg, mid[todo]) <= ZERO_TOL
-        hi[todo] = np.where(gone, mid[todo], hi[todo])
-        lo[todo] = np.where(gone, lo[todo], mid[todo])
+        ends, tree = np.stack([lo[todo], hi[todo]], -1)[:, None], []  # (alive, dead) ends
+        for _ in range(LOOKAHEAD):  # heap order: node j's children are 2j + 1 (j dead), 2j + 2
+            tree.append(m := 0.5 * (ends[..., 0] + ends[..., 1]))
+            ends = np.repeat(ends, 2, axis=1)
+            ends[:, ::2, 1] = ends[:, 1::2, 0] = m
+        gone = (_concurrence_at(cfg, np.hstack(tree)) <= ZERO_TOL).tolist()
+        for i, dead in zip(np.flatnonzero(todo).tolist(), gone):  # replay the round's steps
+            a, b, j = lo[i].item(), hi[i].item(), 0
+            while j < len(dead):  # each edge under its own stop rule
+                m = 0.5 * (a + b)
+                if not (abs(b - a) > cfg.refine_tol and m != a and m != b):
+                    break
+                a, b, j = (a, m, 2 * j + 1) if dead[j] else (m, b, 2 * j + 2)
+            lo[i], hi[i] = a, b
 
     edges = mid.tolist()
     deaths = [float(xs[0])] * (len(first) - len(dies)) + edges[:len(dies)]

@@ -317,6 +317,7 @@ def test_find_zones_checks_gamma_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(zonescan, "_concurrence_at",
                         _counting(counts, "evaluations", zonescan._concurrence_at))
     assert len(find_zones(cfg).zones) == 1
-    # the grid, then one stacked evaluation per bisection step for both edges
-    assert counts["evaluations"] == 10
+    # the grid, then one stacked evaluation per round of LOOKAHEAD = 5 bisection steps
+    # for both edges: each edge takes 9 steps, so two rounds
+    assert counts["evaluations"] == 3
     assert counts["check_gamma"] == counts["check_strength"] == counts["evaluations"]

@@ -164,12 +164,18 @@ class TestFindZones:
 
 
 PAPER_CASES = [(ChannelKind(ch), g, {}) for ch, g in load_script("reproduce_figures").CASES]
+ROUND_CASES = [  # where an edge stops against the rounds of LOOKAHEAD = 5 steps
+    (ChannelKind.BIT_FLIP, 0.2, {"refine_tol": 4e-6}),  # 7 steps: stops inside a round
+    (ChannelKind.BIT_FLIP, 0.2, {"refine_tol": 1.6e-5}),  # 5 steps: exactly one round
+    (ChannelKind.AMPLITUDE_DAMPING, 0.2, {"strength_max": 40}),  # 15 steps: three rounds
+]
 EDGE_CASES = [
     *[(ChannelKind.BIT_FLIP, 0.2, {"grid_points": n}) for n in (2, 3, 2000, 2001)],
     (ChannelKind.AMPLITUDE_DAMPING, 0.0, {}),  # dead over the whole domain
     (ChannelKind.AMPLITUDE_DAMPING, 0.2, {}),  # dead up to the end of the domain
     (ChannelKind.BIT_FLIP, 0.4, {"refine_tol": 1e-300}),  # float spacing stops it
     (ChannelKind.BIT_FLIP, 0.4, {"refine_tol": 0.1}),  # no step is taken
+    *ROUND_CASES,
 ]
 
 
@@ -190,6 +196,15 @@ def test_find_zones_matches_sequential_reference(kind, gamma, kw, route):
         lambda s: _concurrence_at(c, s), c.strength_min, c.strength_max,
         c.grid_points, c.refine_tol, ZERO_TOL)]
     assert find_zones(c).zones == want
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 7])
+def test_find_zones_does_not_depend_on_lookahead(monkeypatch, depth):
+    # depth 1 is one step per evaluation; the replay must give the same zones at any depth
+    cases = PAPER_CASES + ROUND_CASES
+    want = [find_zones(cfg(kind, gamma, **kw)) for kind, gamma, kw in cases]
+    monkeypatch.setattr(sys.modules["esdscan.zonescan"], "LOOKAHEAD", depth)
+    assert [find_zones(cfg(kind, gamma, **kw)) for kind, gamma, kw in cases] == want
 
 
 # The X-entry engine: the six X entries of the MEMS evolved from the Kraus table.
