@@ -17,7 +17,10 @@ import functools
 import json
 import os
 import sys
+from collections import deque
+from contextlib import nullcontext
 from datetime import datetime, timezone
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -47,46 +50,53 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NOT_PARAMETERS = {"out", "plot_script", "no_manifest", "func"}
-_MAX_CELLS = 10**6  # grid points per sweep (~0.9 KiB each) or cells per verify-spectra channel
-_BLOCK_CELLS = 1000  # cells per verify-spectra tile (~1.3 KiB each); a thread scans one at a time
+_MAX_CELLS = 10**6  # sweep points (~0.9 KiB each); verify-spectra cells per channel (time only)
+_BLOCK_CELLS = 1000  # cells per verify-spectra tile (~1.3 KiB each); 2 tiles per thread in flight
+_WRITE_CHARS = 1 << 16  # output goes out in writes of 64 KiB or more: a small one in one
 
 
-def _write(args, lines: list[str], columns: list[str] | None = None) -> None:
-    """Write the manifest and ``lines`` to --out or stdout, then the plot script."""
+def _write(args, chunks, columns: list[str] | None = None) -> None:
+    """Write the manifest and the newline-ended texts of ``chunks`` as they come to
+    --out or stdout, then the plot script. A failed run leaves no --out file behind."""
     plot_script = getattr(args, "plot_script", None)  # compare-states and sweep only
     if plot_script and args.out is None:
         raise ValueError("--plot-script requires --out (the script references the CSV)")
     if plot_script and Path(plot_script).resolve() == Path(args.out).resolve():
         raise ValueError("--plot-script must not name the --out file")
+    text = []  # not yet written
     if not args.no_manifest:
         params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                           if k not in _NOT_PARAMETERS and v is not None)
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        lines = [f"# command: {args.command}", f"# parameters: {params}",
-                 f"# tool_version: {__version__}", f"# timestamp: {stamp}", *lines]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    out = Path(args.out)
-    out.write_text(text, encoding="utf-8")
-    if plot_script:
-        plots = ", \\\n     ".join(
-            f"'{out.name}' using 1:{i} with lines" for i in range(2, len(columns) + 1))
-        try:
+        text.append(f"# command: {args.command}\n# parameters: {params}\n"
+                    f"# tool_version: {__version__}\n# timestamp: {stamp}\n")
+    stream = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+    try:
+        with nullcontext() if args.out is None else stream:  # closes the file, not stdout
+            for chunk in chunks:  # in writes of _WRITE_CHARS or more, but the last
+                text.append(chunk)
+                if sum(map(len, text)) >= _WRITE_CHARS:
+                    stream.write("".join(text))
+                    text.clear()
+            if any(text):
+                stream.write("".join(text))
+        if plot_script:
+            plots = ", \\\n     ".join(f"'{Path(args.out).name}' using 1:{i} with lines"
+                                       for i in range(2, len(columns) + 1))
             Path(plot_script).write_text(
                 "set datafile separator ','\nset datafile commentschars '#'\n"
                 f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
-        except OSError:
-            out.unlink()  # a failed run leaves no output behind
-            raise
+    except BaseException:  # KeyboardInterrupt too: a failed run leaves no output behind
+        if args.out is not None:
+            Path(args.out).unlink()
+        raise
 
 
 def _table(args, columns: list[str], series) -> int:
     """Write a CSV whose columns hold the parallel arrays in ``series``."""
     row = ",".join([_NUMBER] * len(columns))
-    rows = [",".join(columns)] + [row % values for values in zip(*series)]
-    _write(args, rows, columns)
+    rows = [",".join(columns)] + [row % values for values in zip(*(s.tolist() for s in series))]
+    _write(args, ["\n".join(rows) + "\n"], columns)
     return EXIT_OK
 
 
@@ -145,7 +155,7 @@ def _cmd_zones(args) -> int:
             for z in report.zones
         ],
     }
-    _write(args, [json.dumps(doc, indent=2)])
+    _write(args, [json.dumps(doc, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -160,34 +170,39 @@ def _cmd_verify_spectra(args) -> int:
         raise ValueError(f"--min must be below --max, got {args.min} and {args.max}")
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     strengths = np.linspace(args.min, args.max, args.steps)
-    rows = [
-        "channel,gamma,strength,max_abs_error,"
-        "cf_lambda1,cf_lambda2,cf_lambda3,cf_lambda4,"
-        "num_lambda1,num_lambda2,num_lambda3,num_lambda4"
-    ]
-    # tiles in (gamma, strength) order, whole rows or pieces of one row, on one
-    # thread per usable CPU: numpy's batched eigh and svd release the GIL
+    # tiles of whole rows or pieces of one row, on one thread per usable CPU: numpy's
+    # batched eigh and svd release the GIL. Each thread formats the rows it found.
     n_rows, n_cols = max(1, _BLOCK_CELLS // len(strengths)), min(len(strengths), _BLOCK_CELLS)
     tiles = [(gammas[i:i + n_rows], strengths[j:j + n_cols])
              for i in range(0, len(gammas), n_rows) for j in range(0, len(strengths), n_cols)]
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    found = dict.fromkeys(kinds, 0)  # discrepant cells per channel
+
+    def rows(kind, g, s):
+        records = scan_grid(kind, g, s).tolist()
+        return (kind.value + f",{_NUMBER}" * 11 + "\n") * len(records) % tuple(chain(*records))
+
+    def text(pool):  # the header, then the rows of each tile in (channel, gamma, strength) order
+        yield ("channel,gamma,strength,max_abs_error,cf_lambda1,cf_lambda2,cf_lambda3,"
+               "cf_lambda4,num_lambda1,num_lambda2,num_lambda3,num_lambda4\n")
+        calls = ((kind, g, s) for kind in kinds for g, s in tiles)
+        jobs = deque(pool.submit(rows, *call) for call in islice(calls, 2 * workers))
+        for kind in kinds:
+            for _ in tiles:  # one more tile submitted per tile done: 2 per thread in flight
+                tile = jobs.popleft().result()
+                jobs.extend(pool.submit(rows, *call) for call in islice(calls, 1))
+                yield tile
+                found[kind] += tile.count("\n")
+            print(f"{kind.value}: {found[kind]} discrepant cells of "
+                  f"{len(gammas) * len(strengths)}", file=sys.stderr)
+
     from concurrent.futures import ThreadPoolExecutor  # lazy: only this command needs it
     pool = ThreadPoolExecutor(workers)
     try:
-        jobs = [[pool.submit(scan_grid, kind, g, s) for g, s in tiles] for kind in kinds]
-        total = 0
-        for kind, channel_jobs in zip(kinds, jobs):
-            row, before = kind.value + f",{_NUMBER}" * 11, total
-            for records in (job.result() for job in channel_jobs):
-                if len(records):
-                    rows.append("\n".join([row] * len(records)) % tuple(records.ravel().tolist()))
-                total += len(records)
-            print(f"{kind.value}: {total - before} discrepant cells of "
-                  f"{len(gammas) * len(strengths)}", file=sys.stderr)
-    finally:  # a failed tile ends the run: the tiles not yet started are cancelled
+        _write(args, text(pool))
+    finally:  # a failed tile or write ends the run: the tiles not yet started are cancelled
         pool.shutdown(cancel_futures=True)
-    _write(args, rows)
-    return EXIT_DISCREPANCIES if total else EXIT_OK
+    return EXIT_DISCREPANCIES if any(found.values()) else EXIT_OK
 
 
 # -------------------------------------------------------------------- parser

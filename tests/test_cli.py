@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,3 +479,100 @@ def test_benchmark_figures_workload_runs_the_scripts_commands():
             for argv in (figures.sweep_argv(ch, g, 401), figures.zones_argv(ch, g))]
     parse = build_parser().parse_args
     assert [parse(list(op.argv)) for op in ops] == [parse(argv) for argv in want]
+
+
+def _one_worker(monkeypatch):
+    """Size verify-spectra's pool, which has one thread per usable CPU, to one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+class _CountedStdout(io.StringIO):
+    """A stdout that keeps the size of each write; write number ``fail_at`` raises OSError."""
+
+    def __init__(self, fail_at=None):
+        super().__init__()
+        self.sizes, self.fail_at = [], fail_at
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        if len(self.sizes) == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_verify_spectra_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # rows are written as their tiles finish, and at most two tiles per thread are
+    # in flight, so 4x the tiles (one 1000-cell row each) must not raise the peak.
+    # One thread, so that concurrent scans do not move the peak, and --out, so that
+    # the written text is not kept in memory.
+    _one_worker(monkeypatch)
+    out = str(tmp_path / "v.csv")
+
+    def peak(gamma_steps):
+        tracemalloc.start()
+        try:
+            assert run("verify-spectra", "--channel", "depolarizing", "--steps", "1000",
+                       "--gamma-steps", str(gamma_steps), "--no-manifest", "--out", out) == 2
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, eight = peak(2), peak(8)
+    assert eight <= 1.2 * two, (two, eight)
+
+
+def test_one_shot_commands_write_stdout_once(monkeypatch):
+    # a single write per run, with or without the manifest: only verify-spectra streams
+    for argv in (["compare-states", "--steps", "5"],
+                 ["sweep", "--channel", "bitflip", "--gamma", "0.2", "--steps", "5"],
+                 ["sweep", "--channel", "depolarizing", "--gamma", "0.2", "--steps", "5",
+                  "--engine", "closedform"],
+                 ["zones", "--channel", "bitflip", "--gamma", "0.2"]):
+        for manifest in ([], ["--no-manifest"]):
+            stdout = _CountedStdout()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run(*argv, *manifest) == 0
+            assert len(stdout.sizes) == 1, argv + manifest
+            assert stdout.getvalue().endswith("\n")
+
+
+def test_verify_spectra_stdout_equals_its_out_file(tmp_path, monkeypatch, capsys):
+    # 3 tiles per channel and about 1.3 MB of rows, written tile by tile (1 character
+    # or more per write) or in writes of at least 64 KiB, but the last
+    argv = ["verify-spectra", "--gamma-steps", "30", "--steps", "100", "--no-manifest"]
+    out = tmp_path / "v.csv"
+    for write_chars in (1, cli._WRITE_CHARS):
+        monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
+        stdout = _CountedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(*argv) == 2
+        printed = capsys.readouterr().err
+        assert len(stdout.sizes) > 6
+        assert min(stdout.sizes[:-1]) >= write_chars
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == printed
+        assert out.read_bytes() == stdout.getvalue().encode("utf-8")
+
+
+def test_verify_spectra_failed_write_ends_the_run(capsys, monkeypatch):
+    # the header goes out; the write of bit flip's first rows fails. With 1-cell
+    # tiles those rows are tile 26 of 35, and one thread keeps at most two more
+    # tiles submitted, so the run ends without a tile of any later channel.
+    _one_worker(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(cli, "_WRITE_CHARS", 1)  # a write per tile with rows
+    scanned = []
+
+    def recording(kind, gammas, strengths):
+        scanned.append(kind)
+        return scan_grid(kind, gammas, strengths)
+
+    monkeypatch.setattr(cli, "scan_grid", recording)
+    stdout = _CountedStdout(fail_at=2)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(*VERIFY_SMALL) == 1
+    assert stdout.getvalue().startswith("channel,gamma,strength,")
+    assert stdout.getvalue().count("\n") == 1
+    assert capsys.readouterr().err == "esdscan: error: [Errno 28] No space left on device\n"
+    assert scanned == [ChannelKind.BIT_FLIP] * len(scanned)
+    assert 26 <= len(scanned) <= 28
