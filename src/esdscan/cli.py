@@ -18,9 +18,9 @@ import json
 import os
 import sys
 from collections import deque
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -52,43 +52,44 @@ class _Parser(argparse.ArgumentParser):
 _NOT_PARAMETERS = {"out", "plot_script", "no_manifest", "func"}
 _MAX_CELLS = 10**6  # sweep points (~0.9 KiB each); verify-spectra cells per channel (time only)
 _BLOCK_CELLS = 1000  # cells per verify-spectra tile (~1.3 KiB each); 2 tiles per thread in flight
-_WRITE_CHARS = 1 << 16  # output goes out in writes of 64 KiB or more: a small one in one
 
 
 def _write(args, chunks, columns: list[str] | None = None) -> None:
-    """Write the manifest and the newline-ended texts of ``chunks`` as they come to
-    --out or stdout, then the plot script. A failed run leaves no --out file behind."""
+    """Write the manifest and the newline-ended texts of ``chunks``, each as it comes, to
+    --out or stdout, then the plot script. A failed run leaves --out as it found it."""
     plot_script = getattr(args, "plot_script", None)  # compare-states and sweep only
     if plot_script and args.out is None:
         raise ValueError("--plot-script requires --out (the script references the CSV)")
     if plot_script and Path(plot_script).resolve() == Path(args.out).resolve():
         raise ValueError("--plot-script must not name the --out file")
-    text = []  # not yet written
+    head = ""
     if not args.no_manifest:
         params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                           if k not in _NOT_PARAMETERS and v is not None)
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        text.append(f"# command: {args.command}\n# parameters: {params}\n"
-                    f"# tool_version: {__version__}\n# timestamp: {stamp}\n")
-    stream = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+        head = (f"# command: {args.command}\n# parameters: {params}\n"
+                f"# tool_version: {__version__}\n# timestamp: {stamp}\n")
+    regular = args.out is not None and (os.path.isfile(args.out) or not os.path.exists(args.out))
+    real = Path(os.path.realpath(args.out)) if regular else None  # else a device or a FIFO
+    tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp") if real and real.exists() else None
     try:
-        with nullcontext() if args.out is None else stream:  # closes the file, not stdout
-            for chunk in chunks:  # in writes of _WRITE_CHARS or more, but the last
-                text.append(chunk)
-                if sum(map(len, text)) >= _WRITE_CHARS:
-                    stream.write("".join(text))
-                    text.clear()
-            if any(text):
-                stream.write("".join(text))
+        with (nullcontext(sys.stdout) if args.out is None else  # closes the file, not stdout
+              open(tmp or args.out, "x" if tmp else "w", encoding="utf-8")) as stream:
+            for i, chunk in enumerate(filter(None, chunks)):  # the manifest goes out first
+                stream.write(chunk if i else head + chunk)
         if plot_script:
             plots = ", \\\n     ".join(f"'{Path(args.out).name}' using 1:{i} with lines"
                                        for i in range(2, len(columns) + 1))
             Path(plot_script).write_text(
                 "set datafile separator ','\nset datafile commentschars '#'\n"
                 f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
-    except BaseException:  # KeyboardInterrupt too: a failed run leaves no output behind
-        if args.out is not None:
-            Path(args.out).unlink()
+        if tmp:  # an existing file is replaced only when the run succeeds
+            os.chmod(tmp, real.stat().st_mode & 0o7777)
+            os.replace(tmp, real)
+    except BaseException:  # KeyboardInterrupt too
+        if real:
+            with suppress(OSError):
+                os.unlink(tmp or real)
         raise
 
 
@@ -177,11 +178,9 @@ def _cmd_verify_spectra(args) -> int:
              for i in range(0, len(gammas), n_rows) for j in range(0, len(strengths), n_cols)]
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     found = dict.fromkeys(kinds, 0)  # discrepant cells per channel
-
     def rows(kind, g, s):
-        records = scan_grid(kind, g, s).tolist()
-        return (kind.value + f",{_NUMBER}" * 11 + "\n") * len(records) % tuple(chain(*records))
-
+        recs = scan_grid(kind, g, s)
+        return (kind.value + f",{_NUMBER}" * 11 + "\n") * len(recs) % tuple(recs.ravel().tolist())
     def text(pool):  # the header, then the rows of each tile in (channel, gamma, strength) order
         yield ("channel,gamma,strength,max_abs_error,cf_lambda1,cf_lambda2,cf_lambda3,"
                "cf_lambda4,num_lambda1,num_lambda2,num_lambda3,num_lambda4\n")

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -537,21 +538,19 @@ def test_one_shot_commands_write_stdout_once(monkeypatch):
 
 
 def test_verify_spectra_stdout_equals_its_out_file(tmp_path, monkeypatch, capsys):
-    # 3 tiles per channel and about 1.3 MB of rows, written tile by tile (1 character
-    # or more per write) or in writes of at least 64 KiB, but the last
+    # 3 tiles per channel and about 1.3 MB of rows, written tile by tile; the header
+    # is the first write, and a tile without rows makes none
     argv = ["verify-spectra", "--gamma-steps", "30", "--steps", "100", "--no-manifest"]
     out = tmp_path / "v.csv"
-    for write_chars in (1, cli._WRITE_CHARS):
-        monkeypatch.setattr(cli, "_WRITE_CHARS", write_chars)
-        stdout = _CountedStdout()
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert run(*argv) == 2
-        printed = capsys.readouterr().err
-        assert len(stdout.sizes) > 6
-        assert min(stdout.sizes[:-1]) >= write_chars
-        assert run(*argv, "--out", str(out)) == 2
-        assert capsys.readouterr().err == printed
-        assert out.read_bytes() == stdout.getvalue().encode("utf-8")
+    stdout = _CountedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(*argv) == 2
+    printed = capsys.readouterr().err
+    assert 6 < len(stdout.sizes) <= 1 + 3 * len(ChannelKind)
+    assert 0 not in stdout.sizes
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == printed
+    assert out.read_bytes() == stdout.getvalue().encode("utf-8")
 
 
 def test_verify_spectra_failed_write_ends_the_run(capsys, monkeypatch):
@@ -560,7 +559,6 @@ def test_verify_spectra_failed_write_ends_the_run(capsys, monkeypatch):
     # tiles submitted, so the run ends without a tile of any later channel.
     _one_worker(monkeypatch)
     monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
-    monkeypatch.setattr(cli, "_WRITE_CHARS", 1)  # a write per tile with rows
     scanned = []
 
     def recording(kind, gammas, strengths):
@@ -576,3 +574,76 @@ def test_verify_spectra_failed_write_ends_the_run(capsys, monkeypatch):
     assert capsys.readouterr().err == "esdscan: error: [Errno 28] No space left on device\n"
     assert scanned == [ChannelKind.BIT_FLIP] * len(scanned)
     assert 26 <= len(scanned) <= 28
+
+
+def _failing_scan(error):
+    def scan(kind, gammas, strengths):
+        raise error
+    return scan
+
+
+def _old_file(path):
+    path.write_text("old\n")
+    path.chmod(0o640)
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("error, outcome", [
+    (IntegrityError("a failing tile"), 3),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["IntegrityError", "KeyboardInterrupt"])
+def test_verify_spectra_failure_leaves_out_as_it_found_it(error, outcome, tmp_path,
+                                                           monkeypatch):
+    # a new file is removed, an existing one keeps its bytes and its mode, a symlink
+    # stays a symlink, and a device or a FIFO is written as it is and never removed;
+    # no temporary file is left behind
+    old = _old_file(tmp_path / "old.csv")
+    (tmp_path / "link.csv").symlink_to(old)
+    (tmp_path / "null").symlink_to(os.devnull)
+    os.mkfifo(tmp_path / "fifo")
+    reader = os.open(tmp_path / "fifo", os.O_RDONLY | os.O_NONBLOCK)  # so a writer can open
+    monkeypatch.setattr(cli, "scan_grid", _failing_scan(error))
+    try:
+        for name in ("new.csv", "old.csv", "link.csv", "null", "fifo"):
+            argv = [*VERIFY_SMALL, "--out", str(tmp_path / name)]
+            if isinstance(outcome, int):
+                assert run(*argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    run(*argv)
+        assert os.read(reader, 1 << 16).startswith(b"channel,gamma,strength,")
+    finally:
+        os.close(reader)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.csv", "null", "old.csv"]
+    assert (old.read_text(), stat.S_IMODE(old.stat().st_mode)) == ("old\n", 0o640)
+    assert os.readlink(tmp_path / "link.csv") == str(old)
+    assert os.readlink(tmp_path / "null") == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
+
+
+def test_verify_spectra_replaces_an_existing_out_file_when_it_succeeds(tmp_path, capsys):
+    # through a symlink too: the file it names gets the rows and keeps its mode
+    assert run(*VERIFY_SMALL) == 2
+    printed = capsys.readouterr().out
+    old = tmp_path / "old.csv"
+    (tmp_path / "link.csv").symlink_to(old)
+    for name in ("old.csv", "link.csv"):
+        _old_file(old)
+        assert run(*VERIFY_SMALL, "--out", str(tmp_path / name)) == 2
+        assert (old.read_text(), stat.S_IMODE(old.stat().st_mode)) == (printed, 0o640)
+    assert os.readlink(tmp_path / "link.csv") == str(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "old.csv"]
+
+
+def test_verify_spectra_failed_cleanup_keeps_the_exit_code(tmp_path, monkeypatch, capsys):
+    # the new --out file cannot be removed: the run still exits 3 for the failing tile
+    monkeypatch.setattr(cli, "scan_grid", _failing_scan(IntegrityError("a failing tile")))
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert run(*VERIFY_SMALL, "--out", str(tmp_path / "v.csv")) == 3
+    assert capsys.readouterr().err == "esdscan: numerical failure: a failing tile\n"
