@@ -14,7 +14,11 @@ favouring one side. Each pair runs ``perfbench/run.py`` once per side,
 alternating which side goes first. Progress goes to stderr; the
 last line of stdout is a JSON object in the shape of a ``BENCH_*.json``
 ``end_to_end`` entry (or, with ``--trace 1``, of its per-layer entries),
-with the machine line of the first run. Standard library only.
+with the machine line of the first run. Without ``--trace`` it also
+summarises ``pass_s``, the median whole pass that ``run.py`` prints beside
+its metrics: ``pass_best_s`` sums the fastest stretches between writes,
+so a change in how often a command writes moves it, and ``pass_s`` does
+not. Standard library only.
 """
 
 from __future__ import annotations
@@ -67,7 +71,10 @@ def run_bench(tree: Path, opts) -> tuple[dict, dict]:
     lines = proc.stdout.strip().splitlines()
     machine = next((json.loads(line.partition(": ")[2]) for line in lines
                     if line.startswith("machine: ")), {})
-    return json.loads(lines[-1]), machine
+    result = json.loads(lines[-1])
+    for name, value, unit, *_ in (line.split() for line in lines if line.startswith("  pass_s ")):
+        result["metrics"][name] = {"value": float(value), "unit": unit}
+    return result, machine
 
 
 def quartiles(values: list[float]) -> dict:

@@ -18,10 +18,11 @@ import json
 import os
 import sys
 from collections import deque
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
+from tempfile import mkstemp
 
 import numpy as np
 
@@ -30,12 +31,8 @@ from .channels import ChannelKind, check_strength
 from .concurrence import IntegrityError
 from .spectra import (FormulaDomainError, closed_form_spectrum,
                       concurrence_from_spectrum, scan_grid)
-from .zonescan import (
-    DEFAULT_GRID_POINTS,
-    SweepConfig,
-    find_zones,
-    sample_curve,
-)
+from .states import check_gamma
+from .zonescan import DEFAULT_GRID_POINTS, SweepConfig, find_zones, sample_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,35 +51,25 @@ _MAX_CELLS = 10**6  # sweep points (~0.9 KiB each); verify-spectra cells per cha
 _BLOCK_CELLS = 1000  # cells per verify-spectra tile (~1.3 KiB each); 2 tiles per thread in flight
 
 
-def _write(args, chunks, columns: list[str] | None = None) -> None:
-    """Write the manifest and the newline-ended texts of ``chunks``, each as it comes, to
-    --out or stdout, then the plot script. A failed run leaves --out as it found it."""
-    plot_script = getattr(args, "plot_script", None)  # compare-states and sweep only
-    if plot_script and args.out is None:
-        raise ValueError("--plot-script requires --out (the script references the CSV)")
-    if plot_script and Path(plot_script).resolve() == Path(args.out).resolve():
-        raise ValueError("--plot-script must not name the --out file")
-    head = ""
+@contextmanager
+def _output(args, first: str):
+    """Open --out or stdout, write the manifest and ``first`` in one write, and yield the
+    stream. A failed run leaves --out as it found it."""
     if not args.no_manifest:
         params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
                           if k not in _NOT_PARAMETERS and v is not None)
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        head = (f"# command: {args.command}\n# parameters: {params}\n"
-                f"# tool_version: {__version__}\n# timestamp: {stamp}\n")
+        first = (f"# command: {args.command}\n# parameters: {params}\n"
+                 f"# tool_version: {__version__}\n# timestamp: {stamp}\n") + first
     regular = args.out is not None and (os.path.isfile(args.out) or not os.path.exists(args.out))
     real = Path(os.path.realpath(args.out)) if regular else None  # else a device or a FIFO
-    tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp") if real and real.exists() else None
+    # an existing file is written under a hidden name beside it that fits any NAME_MAX
+    fd, tmp = mkstemp(".tmp", ".", real.parent) if real and real.exists() else (None, None)
     try:
         with (nullcontext(sys.stdout) if args.out is None else  # closes the file, not stdout
-              open(tmp or args.out, "x" if tmp else "w", encoding="utf-8")) as stream:
-            for i, chunk in enumerate(filter(None, chunks)):  # the manifest goes out first
-                stream.write(chunk if i else head + chunk)
-        if plot_script:
-            plots = ", \\\n     ".join(f"'{Path(args.out).name}' using 1:{i} with lines"
-                                       for i in range(2, len(columns) + 1))
-            Path(plot_script).write_text(
-                "set datafile separator ','\nset datafile commentschars '#'\n"
-                f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
+              open(fd if tmp else args.out, "w", encoding="utf-8")) as stream:
+            stream.write(first)
+            yield stream
         if tmp:  # an existing file is replaced only when the run succeeds
             os.chmod(tmp, real.stat().st_mode & 0o7777)
             os.replace(tmp, real)
@@ -94,10 +81,21 @@ def _write(args, chunks, columns: list[str] | None = None) -> None:
 
 
 def _table(args, columns: list[str], series) -> int:
-    """Write a CSV whose columns hold the parallel arrays in ``series``."""
+    """Write a CSV whose columns hold the parallel arrays in ``series``, then its plot script."""
+    if args.plot_script and args.out is None:
+        raise ValueError("--plot-script requires --out (the script references the CSV)")
+    if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
+        raise ValueError("--plot-script must not name the --out file")
     row = ",".join([_NUMBER] * len(columns))
     rows = [",".join(columns)] + [row % values for values in zip(*(s.tolist() for s in series))]
-    _write(args, ["\n".join(rows) + "\n"], columns)
+    with _output(args, "\n".join(rows) + "\n") as stream:
+        if args.plot_script:  # once the CSV is flushed, before --out is replaced
+            stream.flush()
+            plots = ", \\\n     ".join(f"'{Path(args.out).name}' using 1:{i} with lines"
+                                       for i in range(2, len(columns) + 1))
+            Path(args.plot_script).write_text(
+                "set datafile separator ','\nset datafile commentschars '#'\n"
+                f"set key autotitle columnhead\nset grid\nplot {plots}\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -123,10 +121,19 @@ def _cmd_compare_states(args) -> int:
                   [gammas, raw, np.maximum(0.0, raw), gammas])
 
 
+def _channels(args) -> list[ChannelKind]:
+    """--channel's channels (all when unset), once --min and --max fit each one's domain."""
+    kinds = [ChannelKind(args.channel)] if args.channel else list(ChannelKind)
+    for kind in kinds:
+        check_strength(kind, (args.min, args.max))
+    if not args.min < args.max:  # rows and grids run by increasing strength
+        raise ValueError(f"--min must be below --max, got {args.min} and {args.max}")
+    return kinds
+
+
 def _sweep_config(args) -> SweepConfig:
-    return SweepConfig(kind=ChannelKind(args.channel), gamma=args.gamma,
-                       strength_min=args.min, strength_max=args.max,
-                       grid_points=args.steps)
+    check_gamma(args.gamma)  # before the strengths, as in SweepConfig
+    return SweepConfig(*_channels(args), args.gamma, args.min, args.max, args.steps)
 
 
 def _cmd_sweep(args) -> int:
@@ -156,19 +163,15 @@ def _cmd_zones(args) -> int:
             for z in report.zones
         ],
     }
-    _write(args, [json.dumps(doc, indent=2) + "\n"])
-    return EXIT_OK
+    with _output(args, json.dumps(doc, indent=2) + "\n"):
+        return EXIT_OK
 
 
 def _cmd_verify_spectra(args) -> int:
     if args.gamma_steps * args.steps > _MAX_CELLS:
         raise ValueError(f"--gamma-steps x --steps must be at most {_MAX_CELLS} cells, "
                          f"got {args.gamma_steps} x {args.steps}")
-    kinds = [ChannelKind(args.channel)] if args.channel else list(ChannelKind)
-    for kind in kinds:
-        check_strength(kind, (args.min, args.max))
-    if not args.min < args.max:  # rows are ordered by increasing strength
-        raise ValueError(f"--min must be below --max, got {args.min} and {args.max}")
+    kinds = _channels(args)
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     strengths = np.linspace(args.min, args.max, args.steps)
     # tiles of whole rows or pieces of one row, on one thread per usable CPU: numpy's
@@ -177,31 +180,28 @@ def _cmd_verify_spectra(args) -> int:
     tiles = [(gammas[i:i + n_rows], strengths[j:j + n_cols])
              for i in range(0, len(gammas), n_rows) for j in range(0, len(strengths), n_cols)]
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    found = dict.fromkeys(kinds, 0)  # discrepant cells per channel
+    from concurrent.futures import ThreadPoolExecutor  # lazy: only this command needs it
+    header = ("channel,gamma,strength,max_abs_error,cf_lambda1,cf_lambda2,cf_lambda3,"
+              "cf_lambda4,num_lambda1,num_lambda2,num_lambda3,num_lambda4\n")
+    calls = ((kind, g, s) for kind in kinds for g, s in tiles)
+    found = 0  # discrepant cells so far, over all channels
     def rows(kind, g, s):
         recs = scan_grid(kind, g, s)
         return (kind.value + f",{_NUMBER}" * 11 + "\n") * len(recs) % tuple(recs.ravel().tolist())
-    def text(pool):  # the header, then the rows of each tile in (channel, gamma, strength) order
-        yield ("channel,gamma,strength,max_abs_error,cf_lambda1,cf_lambda2,cf_lambda3,"
-               "cf_lambda4,num_lambda1,num_lambda2,num_lambda3,num_lambda4\n")
-        calls = ((kind, g, s) for kind in kinds for g, s in tiles)
+    # a failed tile or write ends the run once the pool's exit has finished the tiles in flight
+    with _output(args, header) as stream, ThreadPoolExecutor(workers) as pool:
         jobs = deque(pool.submit(rows, *call) for call in islice(calls, 2 * workers))
         for kind in kinds:
+            before = found
             for _ in tiles:  # one more tile submitted per tile done: 2 per thread in flight
                 tile = jobs.popleft().result()
                 jobs.extend(pool.submit(rows, *call) for call in islice(calls, 1))
-                yield tile
-                found[kind] += tile.count("\n")
-            print(f"{kind.value}: {found[kind]} discrepant cells of "
+                if tile:
+                    stream.write(tile)
+                found += tile.count("\n")
+            print(f"{kind.value}: {found - before} discrepant cells of "
                   f"{len(gammas) * len(strengths)}", file=sys.stderr)
-
-    from concurrent.futures import ThreadPoolExecutor  # lazy: only this command needs it
-    pool = ThreadPoolExecutor(workers)
-    try:
-        _write(args, text(pool))
-    finally:  # a failed tile or write ends the run: the tiles not yet started are cancelled
-        pool.shutdown(cancel_futures=True)
-    return EXIT_DISCREPANCIES if any(found.values()) else EXIT_OK
+    return EXIT_DISCREPANCIES if found else EXIT_OK
 
 
 # -------------------------------------------------------------------- parser

@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py`` summaries: quartiles and pair wins from one or more pairs."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -57,3 +58,40 @@ def test_layer_without_trace_is_rejected_before_any_copy(monkeypatch, capsys):
             bench_pairs.main(args)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+
+RUN_PY_STDOUT = """\
+esdscan benchmark: workload=verify-grid seed=0 seconds=25 trace=0
+machine: {"cpu": "test"}
+code: {"src": "abc"}
+  setup_s                                        0.71 s          median of 5 fresh processes
+  pass_best_s                                   0.143 s          sum of fastest times between writes, over 40 passes
+  peak_rss_mb                                   55.14 MiB        max resident set of the measuring process
+  pass_s                                     0.482712 s          median of 40 passes
+  pass_tail_s                                    0.61 s          p75 of 40 passes (ten slower beyond it)
+  items_per_s                                  123456 items/s    60000 per second over all passes
+  fail_frac                                         0 ratio      0 of 45 operations failed
+{"correct": true, "attempted": 45, "failed": 0, "metrics": {"setup_s": {"value": 0.71, \
+"unit": "s"}, "pass_best_s": {"value": 0.143, "unit": "s"}, "peak_rss_mb": {"value": 55.14, \
+"unit": "MiB"}}}
+"""
+
+
+def test_whole_pass_is_summarised_beside_the_metrics(monkeypatch, tmp_path, capsys):
+    # pass_s, the median whole pass that run.py prints but leaves out of its JSON line,
+    # is read from its output and summarised per side like the end-to-end metrics
+    def fake_run(argv, cwd, capture_output, text):
+        assert argv[1:3] == ["perfbench/run.py", "--workload"]
+        return subprocess.CompletedProcess(argv, 0, RUN_PY_STDOUT, "")
+
+    monkeypatch.setattr(bench_pairs, "copy_parent", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--workload", "verify-grid", "--pairs", "2",
+                             "--work-dir", str(tmp_path)]) == 0
+    entry = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (entry["machine"], entry["all_correct"]) == ({"cpu": "test"}, True)
+    assert list(entry)[-4:] == ["setup_s", "pass_best_s", "peak_rss_mb", "pass_s"]
+    assert entry["pass_s"]["unit"] == "s"
+    assert entry["pass_s"]["runs"] == {"parent": [0.4827] * 2, "change": [0.4827] * 2}
+    assert entry["pass_best_s"]["parent"]["median"] == 0.143
