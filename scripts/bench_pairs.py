@@ -18,7 +18,8 @@ with the machine line of the first run. Without ``--trace`` it also
 summarises ``pass_s``, the median whole pass that ``run.py`` prints beside
 its metrics: ``pass_best_s`` sums the fastest stretches between writes,
 so a change in how often a command writes moves it, and ``pass_s`` does
-not. Standard library only.
+not. Each end-to-end metric also gets its ``BENCHMARK.json`` bound and a
+no-regression verdict (see ``verdict``). Standard library only.
 """
 
 from __future__ import annotations
@@ -77,15 +78,35 @@ def run_bench(tree: Path, opts) -> tuple[dict, dict]:
     return result, machine
 
 
-def quartiles(values: list[float]) -> dict:
-    """q1, median and q3; a single run is all three."""
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
-    return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3]; a single run is all three."""
+    return (statistics.quantiles(values, n=4, method="inclusive")
+            if len(values) > 1 else values * 3)
 
 
-def summarize(unit: str, runs: dict, trace: bool) -> dict:
-    """Quartiles and per-pair wins of one metric; every perfbench metric is lower-better."""
+def rounded_quartiles(values: list[float]) -> dict:
+    return dict(zip(("q1", "median", "q3"), (round(q, 4) for q in quartiles(values))))
+
+
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """No regression, read against a relative ``bound`` on a lower-better metric.
+
+    "over bound" when the change's median exceeds the parent's by more than the
+    bound; "unresolved" when the parent's own spread (q3 - q1) exceeds the bound
+    times its median, unless every change run beats every parent run; else
+    "within bound".
+    """
+    q1, mid, q3 = quartiles(parent)
+    if statistics.median(change) > mid * (1 + bound):
+        return "over bound"
+    if q3 - q1 > bound * mid and not max(change) < min(parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(unit: str, runs: dict, trace: bool, bound: float | None = None) -> dict:
+    """Quartiles and per-pair wins of one metric; every perfbench metric is lower-better.
+    With an end-to-end ``bound``, also the bound and its verdict."""
     parent, change = runs["parent"], runs["change"]
     if trace:
         return {"unit": unit, "parent_median": round(statistics.median(parent), 4),
@@ -93,15 +114,18 @@ def summarize(unit: str, runs: dict, trace: bool) -> dict:
                 "runs": {side: [round(v, 4) for v in runs[side]] for side in SIDES}}
     wins = sum(c < p for p, c in zip(parent, change))
     mid_parent = statistics.median(parent)
-    return {
+    entry = {
         "unit": unit,
-        "parent": quartiles(parent),
-        "change": quartiles(change),
+        "parent": rounded_quartiles(parent),
+        "change": rounded_quartiles(change),
         "change_over_parent": round(statistics.median(change) / mid_parent, 3)
         if mid_parent else None,
         "change_lower_in": f"{wins}/{len(parent)} pairs",
         "runs": {side: [round(v, 4) for v in runs[side]] for side in SIDES},
     }
+    if bound is not None:
+        entry.update(bound=bound, verdict=verdict(parent, change, bound))
+    return entry
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,8 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     entry = {"workload": opts.workload, "seed": opts.seed, "pairs": opts.pairs,
              "all_correct": correct, "parent_rev": opts.parent, "seconds": opts.seconds,
              "trace": opts.trace, "machine": machine}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     for name in opts.layer or runs:
-        entry[name] = summarize(units[name], runs[name], bool(opts.trace))
+        entry[name] = summarize(units[name], runs[name], bool(opts.trace), bounds.get(name))
     print(json.dumps(entry))
     return 0
 

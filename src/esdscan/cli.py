@@ -63,8 +63,10 @@ def _output(args, first: str):
                  f"# tool_version: {__version__}\n# timestamp: {stamp}\n") + first
     regular = args.out is not None and (os.path.isfile(args.out) or not os.path.exists(args.out))
     real = Path(os.path.realpath(args.out)) if regular else None  # else a device or a FIFO
-    # an existing file is written under a hidden name beside it that fits any NAME_MAX
-    fd, tmp = mkstemp(".tmp", ".", real.parent) if real and real.exists() else (None, None)
+    fd = tmp = None
+    if real and real.exists():  # refused, as by "w", unless the user may write it;
+        open(args.out, "a").close()  # then written under a hidden name that fits any NAME_MAX
+        fd, tmp = mkstemp(".tmp", ".", real.parent)
     try:
         with (nullcontext(sys.stdout) if args.out is None else  # closes the file, not stdout
               open(fd if tmp else args.out, "w", encoding="utf-8")) as stream:

@@ -25,19 +25,19 @@ ZERO_TOL = 1e-9  # entanglement is dead where the concurrence is at or below thi
 TOUCH_WIDTH = 5e-3
 
 DEFAULT_GRID_POINTS = 2001
+REFINE_TOL = 1e-6  # bisection stops once an edge's brackets are no farther apart
 LOOKAHEAD = 5  # bisection steps per evaluation: 2**LOOKAHEAD - 1 midpoints per open edge
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One concurrence sweep: channel, gamma, strength grid and bisection tolerance."""
+    """One concurrence sweep: channel, gamma and strength grid."""
 
     kind: ChannelKind
     gamma: float
     strength_min: float = 0.0
     strength_max: float = 1.0
     grid_points: int = DEFAULT_GRID_POINTS
-    refine_tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("gamma", "strength_min", "strength_max"):
@@ -51,9 +51,6 @@ class SweepConfig:
             raise ValueError(f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        if not 0.0 < self.refine_tol < math.inf:
-            raise ValueError(
-                f"refine_tol must be finite and positive, got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     All alive/dead edges of the grid are bisected together, one evaluation per
     ``LOOKAHEAD`` steps: it scores every midpoint those steps could visit, and
     the steps are then replayed from the scores. Each edge stops at
-    ``refine_tol`` or when no float is left between its brackets, whichever
+    ``REFINE_TOL`` or when no float is left between its brackets, whichever
     comes first. Zones narrower than one grid cell can be missed; the default
     2001-point grid keeps that risk negligible for the curves considered here.
     """
@@ -120,7 +117,7 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
     hi = np.concatenate([xs[dies], xs[revives]])  # dead ends
     while True:  # one round of LOOKAHEAD steps per evaluation, on the edges still open
         mid = 0.5 * (lo + hi)
-        todo = (np.abs(hi - lo) > cfg.refine_tol) & (mid != lo) & (mid != hi)
+        todo = (np.abs(hi - lo) > REFINE_TOL) & (mid != lo) & (mid != hi)
         if not todo.any():
             break
         ends, tree = np.stack([lo[todo], hi[todo]], -1)[:, None], []  # (alive, dead) ends
@@ -133,7 +130,7 @@ def find_zones(cfg: SweepConfig) -> ZoneReport:
             a, b, j = lo[i].item(), hi[i].item(), 0
             while j < len(dead):  # each edge under its own stop rule
                 m = 0.5 * (a + b)
-                if not (abs(b - a) > cfg.refine_tol and m != a and m != b):
+                if not (abs(b - a) > REFINE_TOL and m != a and m != b):
                     break
                 a, b, j = (a, m, 2 * j + 1) if dead[j] else (m, b, 2 * j + 2)
             lo[i], hi[i] = a, b

@@ -1,4 +1,4 @@
-"""``scripts/bench_pairs.py`` summaries: quartiles and pair wins from one or more pairs."""
+"""``scripts/bench_pairs.py`` summaries: quartiles, pair wins and no-regression verdicts."""
 
 import json
 import subprocess
@@ -29,6 +29,25 @@ def test_summarize_two_pairs():
     assert entry["change_over_parent"] == 0.667
     assert entry["change_lower_in"] == "1/2 pairs"
     assert entry["runs"] == {"parent": [2.0, 4.0], "change": [3.0, 1.0]}
+
+
+TIGHT = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]  # q3 - q1 = 0.015
+WIDE = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0, 1.0, 0.9, 1.1]  # q3 - q1 = 0.35
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    (TIGHT, [1.2] * 10, "within bound"),  # +20 % against a 25 % bound
+    (TIGHT, [1.3] * 10, "over bound"),  # +30 %
+    (WIDE, [1.3] * 10, "over bound"),  # a wide spread does not hide it
+    (WIDE, [0.9] * 10, "unresolved"),  # the parent's spread is wider than the bound
+    (WIDE, [0.5] * 10, "within bound"),  # ... unless every change run beats every parent run
+    ([1.0], [1.25], "within bound"),  # exactly at the bound
+], ids=["tight-within", "tight-over", "wide-over", "wide-unresolved", "wide-all-better",
+        "one-pair-at-bound"])
+def test_verdict_reads_the_median_against_the_bound(parent, change, expected):
+    entry = bench_pairs.summarize("s", {"parent": parent, "change": change}, trace=False,
+                                  bound=0.25)
+    assert (entry["bound"], entry["verdict"]) == (0.25, expected)
 
 
 def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, capsys):
@@ -95,3 +114,8 @@ def test_whole_pass_is_summarised_beside_the_metrics(monkeypatch, tmp_path, caps
     assert entry["pass_s"]["unit"] == "s"
     assert entry["pass_s"]["runs"] == {"parent": [0.4827] * 2, "change": [0.4827] * 2}
     assert entry["pass_best_s"]["parent"]["median"] == 0.143
+    # the end-to-end metrics carry their BENCHMARK.json bound and a verdict; pass_s has none
+    assert [(entry[name]["bound"], entry[name]["verdict"]) for name in
+            ("setup_s", "pass_best_s", "peak_rss_mb")] == [
+        (0.25, "within bound"), (0.25, "within bound"), (0.15, "within bound")]
+    assert "verdict" not in entry["pass_s"]

@@ -669,6 +669,19 @@ def test_verify_spectra_failed_cleanup_keeps_the_exit_code(tmp_path, monkeypatch
     assert capsys.readouterr().err == "esdscan: numerical failure: a failing tile\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="needs a POSIX user other than root, who may write any file")
+def test_read_only_out_is_refused_and_kept(tmp_path, capsys):
+    # as by shell ">": the directory is writable, but the file itself is not replaced
+    old = _old_file(tmp_path / "old.csv")
+    old.chmod(0o444)
+    assert run("compare-states", "--steps", "3", "--out", str(old)) == 1
+    assert capsys.readouterr() == (
+        "", f"esdscan: error: [Errno 13] Permission denied: '{old}'\n")
+    assert (old.read_text(), stat.S_IMODE(old.stat().st_mode)) == ("old\n", 0o444)
+    assert list(tmp_path.iterdir()) == [old]
+
+
 def test_existing_out_with_a_long_name_is_replaced_or_kept(tmp_path, monkeypatch, capsys):
     # a 250-byte name: the temporary file beside it once took 6 to 12 more bytes than
     # NAME_MAX allows, so a run that would replace the file exited 1

@@ -243,7 +243,7 @@ REJECTIONS = [
                         ({"strength_min": np.array([0.0, 0.1])}, "strength-min-array"),
                         ({"strength_max": [[1.0]]}, "strength-max-2-D"))
       for name, value in kw.items()],
-    # ... in its domain, with an ordered strength interval and a usable tolerance
+    # ... in its domain, with an ordered strength interval
     *[_case(_sweep, kw, ValueError, message, id=f"sweep-{label}")
       for kw, message, label in (
           ({"gamma": 1.5}, "gamma must lie in [0, 1], got 1.5", "gamma-1.5"),
@@ -252,9 +252,7 @@ REJECTIONS = [
           ({"strength_max": 1.4}, "bitflip: p must lie in [0, 1], got (0.0, 1.4)",
            "strength-max-1.4"),
           ({"kind": DAMP, "strength_max": INF},
-           "amplitudedamping: strength must be finite, got (0.0, inf)", "strength-max-inf"),
-          *[({"refine_tol": tol}, f"refine_tol must be finite and positive, got {tol}",
-             f"refine-tol-{tol}") for tol in (NAN, INF)])],
+           "amplitudedamping: strength must be finite, got (0.0, inf)", "strength-max-inf"))],
 ]
 
 

@@ -9,6 +9,7 @@ from esdscan.concurrence import xstate_concurrence
 from esdscan.states import mems
 from esdscan.spectra import closed_form_spectrum, concurrence_from_spectrum, scan_grid
 from esdscan.zonescan import (
+    REFINE_TOL,
     ZERO_TOL,
     SweepConfig,
     Zone,
@@ -25,14 +26,24 @@ def cfg(kind, gamma, **kw):
     return SweepConfig(kind=kind, gamma=gamma, **kw)
 
 
+def _set_refine_tol(monkeypatch, kw):
+    """Set kw's "refine_tol" (default REFINE_TOL) as zonescan.REFINE_TOL: (it, the rest of kw)."""
+    rest = dict(kw)
+    tol = rest.pop("refine_tol", REFINE_TOL)
+    monkeypatch.setattr(sys.modules["esdscan.zonescan"], "REFINE_TOL", tol)
+    return tol, rest
+
+
 class TestConfig:
     def test_has_no_engine(self):
         # zones come from the Kraus evolution alone
         with pytest.raises(TypeError, match="engine"):
             cfg(ChannelKind.BIT_FLIP, 0.5, engine="numeric")
-        # and the dead threshold and the spectrum tolerance are constants, not arguments
+        # and the dead threshold, the bisection and spectrum tolerances are constants
         with pytest.raises(TypeError, match="zero_tol"):
             cfg(ChannelKind.BIT_FLIP, 0.2, zero_tol=ZERO_TOL)
+        with pytest.raises(TypeError, match="refine_tol"):
+            cfg(ChannelKind.BIT_FLIP, 0.2, refine_tol=REFINE_TOL)
         with pytest.raises(TypeError, match="tol"):
             scan_grid(ChannelKind.BIT_FLIP, [0.2], [0.1], tol=1e-8)
 
@@ -90,8 +101,9 @@ class TestFindZones:
         assert zone.death == pytest.approx(death, abs=2e-6)
         assert zone.rebirth == pytest.approx(rebirth, abs=2e-6)
 
-    def test_flip_zones_symmetric(self):
-        report = find_zones(cfg(ChannelKind.BIT_FLIP, 0.4, refine_tol=1e-8))
+    def test_flip_zones_symmetric(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["esdscan.zonescan"], "REFINE_TOL", 1e-8)
+        report = find_zones(cfg(ChannelKind.BIT_FLIP, 0.4))
         zone = report.zones[0]
         assert zone.death + zone.rebirth == pytest.approx(1.0, abs=1e-7)
 
@@ -153,7 +165,7 @@ class TestFindZones:
         numeric = find_zones(c)
         closed = [Zone(*z) for z in zones_ref(
             lambda s: concurrence_from_spectrum(closed_form_spectrum(kind, gamma, s)),
-            c.strength_min, c.strength_max, c.grid_points, c.refine_tol, ZERO_TOL)]
+            c.strength_min, c.strength_max, c.grid_points, REFINE_TOL, ZERO_TOL)]
         assert len(numeric.zones) == len(closed)
         for zn, zc in zip(numeric.zones, closed):
             assert abs(zn.death - zc.death) <= 1e-5
@@ -164,6 +176,7 @@ class TestFindZones:
 
 
 PAPER_CASES = [(ChannelKind(ch), g, {}) for ch, g in load_script("reproduce_figures").CASES]
+# a "refine_tol" entry is set as zonescan.REFINE_TOL for the case (_set_refine_tol)
 ROUND_CASES = [  # where an edge stops against the rounds of LOOKAHEAD = 5 steps
     (ChannelKind.BIT_FLIP, 0.2, {"refine_tol": 4e-6}),  # 7 steps: stops inside a round
     (ChannelKind.BIT_FLIP, 0.2, {"refine_tol": 1.6e-5}),  # 5 steps: exactly one round
@@ -190,21 +203,28 @@ def _case_id(value):
 @pytest.mark.parametrize("route", ["numeric"])  # the Kraus evolution, the one route
 @pytest.mark.parametrize(
     "kind, gamma, kw", PAPER_CASES + EDGE_CASES, ids=_case_id)
-def test_find_zones_matches_sequential_reference(kind, gamma, kw, route):
+def test_find_zones_matches_sequential_reference(monkeypatch, kind, gamma, kw, route):
+    tol, kw = _set_refine_tol(monkeypatch, kw)
     c = cfg(kind, gamma, **kw)
     want = [Zone(*z) for z in zones_ref(
         lambda s: _concurrence_at(c, s), c.strength_min, c.strength_max,
-        c.grid_points, c.refine_tol, ZERO_TOL)]
+        c.grid_points, tol, ZERO_TOL)]
     assert find_zones(c).zones == want
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 7])
 def test_find_zones_does_not_depend_on_lookahead(monkeypatch, depth):
     # depth 1 is one step per evaluation; the replay must give the same zones at any depth
-    cases = PAPER_CASES + ROUND_CASES
-    want = [find_zones(cfg(kind, gamma, **kw)) for kind, gamma, kw in cases]
+    def zones():
+        found = []
+        for kind, gamma, kw in PAPER_CASES + ROUND_CASES:
+            _, kw = _set_refine_tol(monkeypatch, kw)
+            found.append(find_zones(cfg(kind, gamma, **kw)))
+        return found
+
+    want = zones()
     monkeypatch.setattr(sys.modules["esdscan.zonescan"], "LOOKAHEAD", depth)
-    assert [find_zones(cfg(kind, gamma, **kw)) for kind, gamma, kw in cases] == want
+    assert zones() == want
 
 
 # The X-entry engine: the six X entries of the MEMS evolved from the Kraus table.
