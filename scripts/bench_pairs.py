@@ -18,8 +18,9 @@ with the machine line of the first run. Without ``--trace`` it also
 summarises ``pass_s``, the median whole pass that ``run.py`` prints beside
 its metrics: ``pass_best_s`` sums the fastest stretches between writes,
 so a change in how often a command writes moves it, and ``pass_s`` does
-not. Each end-to-end metric also gets its ``BENCHMARK.json`` bound and a
-no-regression verdict (see ``verdict``). Standard library only.
+not. Each end-to-end metric also gets its ``BENCHMARK.json`` bound, a
+no-regression verdict (see ``verdict``) and whether a gain claimed on it is
+met (see ``gain``). Standard library only.
 """
 
 from __future__ import annotations
@@ -104,9 +105,19 @@ def verdict(parent: list[float], change: list[float], bound: float) -> str:
     return "within bound"
 
 
+def gain(parent: list[float], change: list[float]) -> str:
+    """Whether a gain claimed on a lower-better metric is met: "met" when the change
+    reads lower in at least 9 of 10 pairs (ties count for neither) and its median
+    sits below the parent's by more than the parent's spread (q3 - q1)."""
+    q1, mid, q3 = quartiles(parent)
+    wins = sum(c < p for p, c in zip(parent, change))
+    met = 10 * wins >= 9 * len(parent) and mid - statistics.median(change) > q3 - q1
+    return "met" if met else "not met"
+
+
 def summarize(unit: str, runs: dict, trace: bool, bound: float | None = None) -> dict:
     """Quartiles and per-pair wins of one metric; every perfbench metric is lower-better.
-    With an end-to-end ``bound``, also the bound and its verdict."""
+    With an end-to-end ``bound``, also the bound, its verdict and whether a gain is met."""
     parent, change = runs["parent"], runs["change"]
     if trace:
         return {"unit": unit, "parent_median": round(statistics.median(parent), 4),
@@ -124,7 +135,8 @@ def summarize(unit: str, runs: dict, trace: bool, bound: float | None = None) ->
         "runs": {side: [round(v, 4) for v in runs[side]] for side in SIDES},
     }
     if bound is not None:
-        entry.update(bound=bound, verdict=verdict(parent, change, bound))
+        entry.update(bound=bound, verdict=verdict(parent, change, bound),
+                     gain=gain(parent, change))
     return entry
 
 

@@ -66,7 +66,10 @@ def _output(args, first: str):
     fd = tmp = None
     if real and real.exists():  # refused, as by "w", unless the user may write it;
         open(args.out, "a").close()  # then written under a hidden name that fits any NAME_MAX
-        fd, tmp = mkstemp(".tmp", ".", real.parent)
+        try:
+            fd, tmp = mkstemp(".tmp", ".", real.parent)
+        except OSError as exc:  # name the user's file, not the hidden one
+            raise OSError(f"--out {args.out}: cannot write in {real.parent}: {exc.strerror}")
     try:
         with (nullcontext(sys.stdout) if args.out is None else  # closes the file, not stdout
               open(fd if tmp else args.out, "w", encoding="utf-8")) as stream:
@@ -88,9 +91,8 @@ def _table(args, columns: list[str], series) -> int:
         raise ValueError("--plot-script requires --out (the script references the CSV)")
     if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
         raise ValueError("--plot-script must not name the --out file")
-    row = ",".join([_NUMBER] * len(columns))
-    rows = [",".join(columns)] + [row % values for values in zip(*(s.tolist() for s in series))]
-    with _output(args, "\n".join(rows) + "\n") as stream:
+    csv = ",".join(columns) + "\n" + (",".join([_NUMBER] * len(columns)) + "\n") * len(series[0])
+    with _output(args, csv % tuple(np.ravel(series, "F").tolist())) as stream:  # row by row
         if args.plot_script:  # once the CSV is flushed, before --out is replaced
             stream.flush()
             plots = ", \\\n     ".join(f"'{Path(args.out).name}' using 1:{i} with lines"

@@ -77,9 +77,12 @@ def xstate_concurrence(rho: np.ndarray):
     Raises :class:`XStructureError` when any entry off the diagonal and
     anti-diagonal exceeds ``X_TOL``, and :class:`IntegrityError` when the
     smallest eigenvalue, taken in closed form from the two 2x2 blocks, is
-    below ``-NEG_TOL`` (the guard the Wootters route applies).
+    below ``-NEG_TOL`` (the guard the Wootters route applies). A float64 stack
+    is scored as it is; any other input is checked and promoted to complex.
     """
-    rho = require_finite(check_states(rho), "state")
+    rho = np.asarray(rho)
+    real = rho.dtype == float and rho.shape[-2:] == (4, 4) and rho.size > 0
+    rho = require_finite(rho if real else check_states(rho), "state")
     off = abs(rho[..., OFF_X])
     worst = float(off.max())
     if worst > X_TOL:

@@ -81,13 +81,13 @@ def _concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
     and U = [[rho_14, rho_23], [rho_32, rho_41]] -> C U C^T.
     ``xstate_concurrence`` scores, and guards, the X-state they fill.
     """
-    rho, shape = mems(cfg.gamma), np.shape(strengths)
-    # e[k, 2 i + j] is Ek[i, j] at every strength: long rows, not 2x2 blocks
-    e = np.ascontiguousarray(kraus_operators(cfg.kind, strengths)
-                             .reshape(math.prod(shape), -1, 4).transpose(1, 2, 0))
-    x = np.zeros((16, e.shape[-1]), complex)  # the evolved states, entry by entry
-    for partner, flat in ((e, np.s_[::5]), (e[:, ::-1], np.s_[3:13:3])):
-        m = np.einsum("kas,kas->as", e, partner.conj()).reshape(2, 2, -1)  # P, then C
+    rho, shape = mems(cfg.gamma).real, np.shape(strengths)
+    # e[s, k, 2 i + j] is Ek[i, j]: real or imaginary, so P, C and the states are real
+    e = kraus_operators(cfg.kind, strengths).reshape(math.prod(shape), -1, 4)
+    x = np.zeros((16, len(e)))  # the evolved states, entry by entry
+    for rev, flat in ((np.s_[:], np.s_[::5]), (np.s_[::-1], np.s_[3:13:3])):
+        m = (np.einsum("ska,ska->as", e.real, e.real[..., rev])  # P, then C
+             + np.einsum("ska,ska->as", e.imag, e.imag[..., rev])).reshape(2, 2, -1)
         mv = rho.reshape(16)[flat].reshape(2, 2).T @ m  # M V: V for P, U for C
         x[flat] = (mv[:, None, 0] * m[None, :, 0] + mv[:, None, 1] * m[None, :, 1]).reshape(4, -1)
     return xstate_concurrence(x.T.reshape(*shape, 4, 4))

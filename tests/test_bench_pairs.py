@@ -1,4 +1,5 @@
-"""``scripts/bench_pairs.py`` summaries: quartiles, pair wins and no-regression verdicts."""
+"""``scripts/bench_pairs.py`` summaries: quartiles, pair wins, no-regression verdicts and
+gain claims."""
 
 import json
 import subprocess
@@ -48,6 +49,28 @@ def test_verdict_reads_the_median_against_the_bound(parent, change, expected):
     entry = bench_pairs.summarize("s", {"parent": parent, "change": change}, trace=False,
                                   bound=0.25)
     assert (entry["bound"], entry["verdict"]) == (0.25, expected)
+
+
+# PR 32's figures claim: the median moved 0.0743 -> 0.0710 s (-4.4 %), lower in every
+# pair, but the parent's own runs spread wider than that (q3 - q1 = 0.0039 s)
+NOISY = [0.07, 0.072, 0.073, 0.074, 0.0742, 0.0744, 0.076, 0.0775, 0.078, 0.079]
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    (TIGHT, [0.9] * 10, "met"),  # lower in every pair, far outside the parent's spread
+    (TIGHT, [0.9] * 9 + [1.1], "met"),  # 9 of 10 pairs is enough
+    (TIGHT, [0.9] * 8 + [1.1] * 2, "not met"),  # 8 of 10 is not
+    (TIGHT, [0.9] * 8 + [1.0] * 2, "not met"),  # a tie counts for neither side
+    (NOISY, [p - 0.0033 for p in NOISY], "not met"),  # a 4 % gap inside the parent's IQR
+    (NOISY, [p - 0.005 for p in NOISY], "met"),  # the same wins, a gap beyond it
+    (TIGHT, [1.2] * 10, "not met"),  # slower
+], ids=["all-pairs", "nine-pairs", "eight-pairs", "ties", "inside-iqr", "beyond-iqr",
+        "slower"])
+def test_gain_needs_nine_pairs_in_ten_and_a_gap_beyond_the_parents_iqr(parent, change,
+                                                                       expected):
+    entry = bench_pairs.summarize("s", {"parent": parent, "change": change}, trace=False,
+                                  bound=0.25)
+    assert entry["gain"] == expected
 
 
 def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, capsys):
@@ -114,8 +137,10 @@ def test_whole_pass_is_summarised_beside_the_metrics(monkeypatch, tmp_path, caps
     assert entry["pass_s"]["unit"] == "s"
     assert entry["pass_s"]["runs"] == {"parent": [0.4827] * 2, "change": [0.4827] * 2}
     assert entry["pass_best_s"]["parent"]["median"] == 0.143
-    # the end-to-end metrics carry their BENCHMARK.json bound and a verdict; pass_s has none
-    assert [(entry[name]["bound"], entry[name]["verdict"]) for name in
+    # the end-to-end metrics carry their BENCHMARK.json bound, a verdict and whether a
+    # gain is met (not, for identical runs); pass_s has none of them
+    assert [(entry[name]["bound"], entry[name]["verdict"], entry[name]["gain"]) for name in
             ("setup_s", "pass_best_s", "peak_rss_mb")] == [
-        (0.25, "within bound"), (0.25, "within bound"), (0.15, "within bound")]
-    assert "verdict" not in entry["pass_s"]
+        (0.25, "within bound", "not met"), (0.25, "within bound", "not met"),
+        (0.15, "within bound", "not met")]
+    assert "verdict" not in entry["pass_s"] and "gain" not in entry["pass_s"]

@@ -682,6 +682,23 @@ def test_read_only_out_is_refused_and_kept(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [old]
 
 
+def test_out_in_a_read_only_directory_names_out_and_its_directory(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the file is writable but no file can be made beside it: the message names --out
+    # and its directory, not the hidden temporary name (raised here, so root sees it too)
+    old = _old_file(tmp_path / "old.csv")
+
+    def refuse(suffix, prefix, dir):
+        raise PermissionError(13, "Permission denied", os.path.join(dir, prefix + "x" + suffix))
+
+    monkeypatch.setattr(cli, "mkstemp", refuse)
+    assert run("compare-states", "--steps", "3", "--out", str(old)) == 1
+    assert capsys.readouterr() == ("", f"esdscan: error: --out {old}: cannot write in "
+                                       f"{os.path.realpath(tmp_path)}: Permission denied\n")
+    assert (old.read_text(), stat.S_IMODE(old.stat().st_mode)) == ("old\n", 0o640)
+    assert list(tmp_path.iterdir()) == [old]
+
+
 def test_existing_out_with_a_long_name_is_replaced_or_kept(tmp_path, monkeypatch, capsys):
     # a 250-byte name: the temporary file beside it once took 6 to 12 more bytes than
     # NAME_MAX allows, so a run that would replace the file exited 1

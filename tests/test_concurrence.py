@@ -146,3 +146,52 @@ def test_single_state_query_is_a_row_of_the_stacked_route(kind):
         assert (rho == stacked[i]).all()
         assert concurrence(rho) == wootters[i]
         assert xstate_concurrence(rho) == closed_form[i]
+
+
+# A float64 stack is scored as it is, with no complex copy: the same bits and errors.
+
+def _real_x_states(rng, n):
+    """n random real X-states: Dirichlet populations, coherences up to their bound."""
+    d = rng.dirichlet(np.ones(4), n)
+    d[range(n // 4), rng.integers(0, 4, n // 4)] = 0.0  # some exactly zero populations
+    d /= d.sum(axis=-1, keepdims=True)
+    rho = np.zeros((n, 4, 4))
+    rho[:, range(4), range(4)] = d
+    for i, j in ((0, 3), (1, 2)):
+        rho[:, i, j] = rho[:, j, i] = rng.uniform(-1, 1, n) * np.sqrt(d[:, i] * d[:, j])
+    return np.concatenate([rho, mems(np.linspace(0.0, 1.0, 65)).real])
+
+
+def test_real_stack_scores_as_its_complex_copy():
+    rho = _real_x_states(np.random.default_rng(17), 2000)
+    got = xstate_concurrence(rho)
+    assert got.dtype == np.float64
+    assert got.tobytes() == xstate_concurrence(rho.astype(complex)).tobytes()
+    one = xstate_concurrence(rho[5])
+    assert type(one) is float and one == xstate_concurrence(rho[5].astype(complex))
+
+
+def _failure(rho):
+    with pytest.raises((XStructureError, IntegrityError, ValueError)) as err:
+        xstate_concurrence(rho)
+    return type(err.value), str(err.value), getattr(err.value, "magnitude", None), \
+        getattr(err.value, "index", None)
+
+
+@pytest.mark.parametrize("index, value", [
+    ((7, 0, 1), 3e-12),  # off the X: XStructureError with the entry's magnitude and index
+    ((2, 2, 0), -2e-12),
+    ((4, 0, 3), 0.9),  # a coherence past its block's bound: IntegrityError
+    ((1, 1, 1), np.nan),  # non-finite entries
+    ((3, 0, 2), np.inf),
+    ((0, 3, 3), -np.inf),
+], ids=["x-structure", "x-structure-negative", "integrity", "nan", "inf", "minus-inf"])
+def test_real_stack_is_rejected_as_its_complex_copy(index, value):
+    rho = _real_x_states(np.random.default_rng(19), 8)
+    rho[index] = value
+    if index[1:] == (0, 3):
+        rho[index[0], 3, 0] = value
+    got = _failure(rho)
+    assert got == _failure(rho.astype(complex))
+    assert got[0] is {3e-12: XStructureError, -2e-12: XStructureError,
+                      0.9: IntegrityError}.get(value, ValueError)

@@ -1,4 +1,6 @@
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +260,57 @@ def test_x_entry_engine_matches_the_full_evolution(kind):
         got = _concurrence_at(cfg(kind, gamma), strengths)
         assert got.shape == full.shape
         assert np.max(np.abs(got - full)) <= 4.4e-16
+
+
+def _complex_concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
+    """The engine as it was before it went real, verbatim: complex entries throughout."""
+    rho, shape = mems(cfg.gamma), np.shape(strengths)
+    # e[k, 2 i + j] is Ek[i, j] at every strength: long rows, not 2x2 blocks
+    e = np.ascontiguousarray(kraus_operators(cfg.kind, strengths)
+                             .reshape(math.prod(shape), -1, 4).transpose(1, 2, 0))
+    x = np.zeros((16, e.shape[-1]), complex)  # the evolved states, entry by entry
+    for partner, flat in ((e, np.s_[::5]), (e[:, ::-1], np.s_[3:13:3])):
+        m = np.einsum("kas,kas->as", e, partner.conj()).reshape(2, 2, -1)  # P, then C
+        mv = rho.reshape(16)[flat].reshape(2, 2).T @ m  # M V: V for P, U for C
+        x[flat] = (mv[:, None, 0] * m[None, :, 0] + mv[:, None, 1] * m[None, :, 1]).reshape(4, -1)
+    return xstate_concurrence(x.T.reshape(*shape, 4, 4))
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=_case_id)
+def test_real_engine_gives_the_complex_engines_bits(kind):
+    # 65 gammas on grids from one point to the default 2001, damping exponents up to 40
+    for i, gamma in enumerate(np.linspace(0.0, 1.0, 65).tolist()):
+        top = 1.0 if kind.is_flip else (1.0, 5.0, 40.0)[i % 3]
+        for n in (1, 2, 5, 31, 62, 401, 2001):
+            s = np.linspace(0.0, top, n) if n > 1 else np.array([0.3 * top])
+            got = _concurrence_at(cfg(kind, gamma), s)
+            want = _complex_concurrence_at(cfg(kind, gamma), s)
+            assert np.array_equal(got, want)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())  # signed zeros too
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=_case_id)
+def test_kraus_entries_are_real_or_imaginary_so_the_states_are_real(kind):
+    # the premises of the real engine: P = sum_k |Ek[a]|^2 is real anyway, and with every
+    # entry real or imaginary so is C = sum_k Ek[a] Ek[3 - a]*, exactly; so is the MEMS
+    ops = kraus_operators(kind, _strengths(kind, np.random.default_rng(7)))
+    assert ((ops.real == 0) | (ops.imag == 0)).all()
+    e = ops.reshape(*ops.shape[:-2], 4)
+    assert not (e * e[..., ::-1].conj()).sum(axis=-2).imag.any()
+    assert not mems(np.linspace(0.0, 1.0, 65)).imag.any()
+
+
+def test_grid_evaluation_memory():
+    # a complex (N, 4, 4) stack and its temporaries took 1.8 MiB at 2001 points
+    c, xs = cfg(ChannelKind.DEPOLARIZING, 0.4), np.linspace(0.0, 1.0, 2001)
+    _concurrence_at(c, xs)
+    tracemalloc.start()
+    try:
+        _concurrence_at(c, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20
 
 
 @pytest.mark.parametrize("command", ["sweep", "zones"])
