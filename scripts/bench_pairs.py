@@ -163,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         p.error("--pairs must be >= 1")
     if opts.layer and not opts.trace:
         p.error("--layer needs --trace 1")
+    if opts.work_dir is not None and not Path(opts.work_dir).is_dir():
+        p.error(f"--work-dir {opts.work_dir}: no such directory")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=opts.work_dir) as tmp:
         snapshots = {side: Path(tmp) / "snapshot" / side for side in SIDES}

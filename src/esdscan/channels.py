@@ -71,18 +71,30 @@ def kraus_operators(kind: ChannelKind, strength) -> np.ndarray:
     weighs eta, each other one 1-eta, or (1-eta)/3 for depolarizing, which is
     fully depolarizing at lt = ln 4 and overshoots after that.
     """
-    s = check_strength(kind, strength)
-    mats = _KRAUS_MATRICES[kind]
-    if kind.is_flip:
-        weights = [s, 1.0 - s]
-    else:
-        eta = np.exp(-s)
-        loss = (1.0 - eta) / 3.0 if kind is ChannelKind.DEPOLARIZING else 1.0 - eta
-        weights = [eta] + [loss] * (len(mats) - 1)
-    ops = np.sqrt(np.stack(weights, axis=-1))[..., None, None] * mats
+    ops = np.sqrt(np.stack(_weights(kind, strength), -1))[..., None, None] * _KRAUS_MATRICES[kind]
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         ops += _DAMPING_CONSTANT
     return ops
+
+
+def _weights(kind: ChannelKind, strength) -> list:
+    """The weight of each of ``kind``'s matrices, one array per matrix (see ``kraus_operators``)."""
+    s = check_strength(kind, strength)
+    if kind.is_flip:
+        return [s, 1.0 - s]
+    eta = np.exp(-s)
+    loss = (1.0 - eta) / 3.0 if kind is ChannelKind.DEPOLARIZING else 1.0 - eta
+    return [eta] + [loss] * (len(_KRAUS_MATRICES[kind]) - 1)
+
+
+def _kraus_entries(kind: ChannelKind, strength) -> np.ndarray:
+    """e[k, 2 i + j, s] is Ek[i, j] or Ek[i, j] / 1j at the s-th strength, raveled."""
+    mats = _KRAUS_MATRICES[kind].reshape(-1, 4, 1)
+    roots = np.sqrt(np.stack(_weights(kind, strength))).reshape(len(mats), 1, -1)
+    e = roots * (mats.real + mats.imag)
+    if kind is ChannelKind.AMPLITUDE_DAMPING:
+        e += _DAMPING_CONSTANT.real.reshape(-1, 4, 1)
+    return e
 
 
 def kraus_set(kind: ChannelKind, strength: float) -> np.ndarray:

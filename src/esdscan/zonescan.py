@@ -1,19 +1,18 @@
 """Concurrence sweeps over channel strength and ESD/ESDB zone detection.
 
-Every evolved MEMS is an X-state: only its six X entries are evolved, from the
-Kraus table, and scored with the X-state closed form. Zones never come from
-the tabulated spectra, which are claims under test (see ``spectra``).
+Every evolved MEMS is an X-state: only its six X entries are evolved, from one
+real table of the Kraus entries, and scored with the X-state closed form. Zones
+never come from the tabulated spectra, which are claims under test (see ``spectra``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .channels import ChannelKind, check_strength, kraus_operators
+from .channels import ChannelKind, _kraus_entries, check_strength
 from .concurrence import xstate_concurrence
 from .states import check_gamma, mems
 
@@ -82,12 +81,11 @@ def _concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarray:
     ``xstate_concurrence`` scores, and guards, the X-state they fill.
     """
     rho, shape = mems(cfg.gamma).real, np.shape(strengths)
-    # e[s, k, 2 i + j] is Ek[i, j]: real or imaginary, so P, C and the states are real
-    e = kraus_operators(cfg.kind, strengths).reshape(math.prod(shape), -1, 4)
-    x = np.zeros((16, len(e)))  # the evolved states, entry by entry
+    # C pairs real entries with real, imaginary with imaginary: Ek[a] Ek[b]* = e[k, a] e[k, b]
+    e = _kraus_entries(cfg.kind, strengths)
+    x = np.zeros((16, e.shape[-1]))  # the evolved states, entry by entry
     for rev, flat in ((np.s_[:], np.s_[::5]), (np.s_[::-1], np.s_[3:13:3])):
-        m = (np.einsum("ska,ska->as", e.real, e.real[..., rev])  # P, then C
-             + np.einsum("ska,ska->as", e.imag, e.imag[..., rev])).reshape(2, 2, -1)
+        m = np.einsum("kas,kas->as", e, e[:, rev]).reshape(2, 2, -1)  # P, then C
         mv = rho.reshape(16)[flat].reshape(2, 2).T @ m  # M V: V for P, U for C
         x[flat] = (mv[:, None, 0] * m[None, :, 0] + mv[:, None, 1] * m[None, :, 1]).reshape(4, -1)
     return xstate_concurrence(x.T.reshape(*shape, 4, 4))

@@ -83,14 +83,18 @@ def test_seconds_default_is_the_benchmark_run_seconds(tmp_path, monkeypatch, cap
     assert "BENCHMARK.json run_seconds, 7" in " ".join(capsys.readouterr().out.split())
 
 
-def test_layer_without_trace_is_rejected_before_any_copy(monkeypatch, capsys):
+def test_layer_without_trace_is_rejected_before_any_copy(monkeypatch, capsys, tmp_path):
     # --layer names per-layer metrics, which only --trace 1 reports; a name that
-    # BENCHMARK.json does not declare is refused as early
+    # BENCHMARK.json does not declare, or a --work-dir that is not a directory,
+    # is refused as early
     def copy_parent(rev, dest):
         raise AssertionError("copied the parent before checking the arguments")
 
     monkeypatch.setattr(bench_pairs, "copy_parent", copy_parent)
+    missing = tmp_path / "missing"
     for args, message in (
+            (["--workload", "figures", "--work-dir", str(missing)],
+             f"--work-dir {missing}: no such directory"),
             (["--workload", "figures", "--trace", "0", "--layer", "cli.main.self_s"],
              "--layer needs --trace 1"),
             (["--workload", "figures", "--trace", "1", "--layer", "cli.main.self"],

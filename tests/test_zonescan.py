@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esdscan.channels import ChannelKind, apply_product, kraus_operators
+from esdscan.channels import ChannelKind, _kraus_entries, apply_product, kraus_operators
 from esdscan.cli import main
 from esdscan.concurrence import xstate_concurrence
 from esdscan.states import mems
@@ -278,25 +278,45 @@ def _complex_concurrence_at(cfg: SweepConfig, strengths: np.ndarray) -> np.ndarr
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=_case_id)
 def test_real_engine_gives_the_complex_engines_bits(kind):
-    # 65 gammas on grids from one point to the default 2001, damping exponents up to 40
+    # 65 gammas on grids from one point to the default 2001, damping exponents up to 40;
+    # then a 0-d strength, a (7, 31) stack, a signed zero, the top of the domain and
+    # damping exponents where eta = exp(-lt) is subnormal or 0
+    rng = np.random.default_rng(13)
+    end = 1.0 if kind.is_flip else np.finfo(float).max
+    odd = [np.array(0.3), rng.uniform(0.0, 1.0, (7, 31)), np.array([0.0, -0.0, end])]
+    if not kind.is_flip:
+        odd.append(np.array(DAMPING_EXTREMES))
     for i, gamma in enumerate(np.linspace(0.0, 1.0, 65).tolist()):
         top = 1.0 if kind.is_flip else (1.0, 5.0, 40.0)[i % 3]
-        for n in (1, 2, 5, 31, 62, 401, 2001):
-            s = np.linspace(0.0, top, n) if n > 1 else np.array([0.3 * top])
+        grids = [np.linspace(0.0, top, n) if n > 1 else np.array([0.3 * top])
+                 for n in (1, 2, 5, 31, 62, 401, 2001)]
+        for s in grids + odd:
             got = _concurrence_at(cfg(kind, gamma), s)
             want = _complex_concurrence_at(cfg(kind, gamma), s)
-            assert np.array_equal(got, want)
-            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())  # signed zeros too
+            assert type(got) is type(want) and np.array_equal(got, want)
+            got, want = np.asarray(got), np.asarray(want)  # a 0-d strength gives a float
+            assert (got.dtype, got.shape, got.tobytes()) == (  # signed zeros too
+                want.dtype, s.shape, want.tobytes())
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=_case_id)
 def test_kraus_entries_are_real_or_imaginary_so_the_states_are_real(kind):
-    # the premises of the real engine: P = sum_k |Ek[a]|^2 is real anyway, and with every
-    # entry real or imaginary so is C = sum_k Ek[a] Ek[3 - a]*, exactly; so is the MEMS
-    ops = kraus_operators(kind, _strengths(kind, np.random.default_rng(7)))
+    # the premises of the real engine: P = sum_k |Ek[a]|^2 is real anyway; every entry is
+    # real or imaginary, and C = sum_k Ek[a] Ek[3 - a]* pairs two real or two imaginary
+    # ones, so the engine's real table of Ek[a] or Ek[a] / 1j gives it as
+    # sum_k e[k, a] e[k, 3 - a], exactly; the MEMS is real too
+    strengths = _strengths(kind, np.random.default_rng(7))
+    ops = kraus_operators(kind, strengths)
     assert ((ops.real == 0) | (ops.imag == 0)).all()
     e = ops.reshape(*ops.shape[:-2], 4)
     assert not (e * e[..., ::-1].conj()).sum(axis=-2).imag.any()
+    assert (((e.imag == 0) & (e[..., ::-1].imag == 0))
+            | ((e.real == 0) & (e[..., ::-1].real == 0))).all()
+    table = _kraus_entries(kind, strengths)
+    assert np.array_equal(table, (e.real + e.imag).transpose(1, 2, 0))
+    # P and C entries each sum at most two non-zero terms: their order cannot round
+    assert ((table * table != 0).sum(axis=0) <= 2).all()
+    assert ((table * table[:, ::-1] != 0).sum(axis=0) <= 2).all()
     assert not mems(np.linspace(0.0, 1.0, 65)).imag.any()
 
 
@@ -310,7 +330,7 @@ def test_grid_evaluation_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 2**20
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("command", ["sweep", "zones"])
